@@ -10,12 +10,8 @@ two-packet superpositions.
 __version__ = "0.1.0"
 
 from .chain import (
-    EigenBasis,
     EvolutionContext,
     Trajectory,
-    apply_kick,
-    apply_uhc,
-    build_eigenbasis,
     evolve,
     hop_eigenphases,
     make_context,
@@ -55,7 +51,6 @@ from .observables import (
     ModeDecayFit,
     ModeReport,
     SiteDistribution,
-    break_time,
     concurrence,
     concurrence_profile_max,
     detect_accelerator_modes,
@@ -76,6 +71,7 @@ from .protocol import (
     central_measurement,
     ideal_packet_pair,
     measurement_window,
+    packet_centers,
     run_protocol,
 )
 from .qkr import (
@@ -84,7 +80,6 @@ from .qkr import (
     RotorBasis,
     accelerator_window,
     bessel_interior_mask,
-    bessel_j,
     classical_diffusion,
     frs_quadrature,
     qkr_kick_matrix,

@@ -12,7 +12,9 @@ The open-chain hopping eigenmodes are the orthonormal cosine modes
     G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)),   a_m = sqrt((2 - delta_{m,1})/N),
 
 i.e. exactly the orthonormal type-II discrete cosine transform, so the
-hop can be applied either as a dense matrix or as a DCT-II/III pair.
+hop is a DCT-II, a phase multiply and a DCT-III.  That is the one
+evolution path.  The dense matrices built here (``uhc_matrix``,
+``oracle_hamiltonian``) are size-capped test oracles only.
 Snapshots are always taken immediately after the kick.
 """
 
@@ -37,54 +39,19 @@ def hop_eigenphases(n_sites: int, beta: float) -> np.ndarray:
     return beta * (1.0 - np.cos(np.pi * m / n_sites))
 
 
-class EigenBasis:
-    """Orthonormal cosine eigenmodes of the open-chain hopping step.
-
-    ``eigenphases`` holds the per-period phase of each mode; ``mode_vectors``
-    is the N x N orthogonal matrix whose row m is mode m (built lazily, since
-    transform-based evolution only ever needs the phases).
-    """
-
-    def __init__(self, n_sites: int, beta: float):
-        self._n_sites = n_sites
-        self._beta = beta
-        phases = hop_eigenphases(n_sites, beta)
-        phases.setflags(write=False)
-        self._eigenphases = phases
-        self._modes: np.ndarray | None = None
-
-    @property
-    def n_sites(self) -> int:
-        return self._n_sites
-
-    @property
-    def eigenphases(self) -> np.ndarray:
-        return self._eigenphases
-
-    @property
-    def mode_vectors(self) -> np.ndarray:
-        if self._modes is None:
-            n = self._n_sites
-            m = np.arange(n, dtype=np.float64)[:, None]
-            j = np.arange(n, dtype=np.float64)[None, :]
-            g = np.sqrt(2.0 / n) * np.cos(np.pi / (2.0 * n) * m * (2.0 * j + 1.0))
-            g[0, :] = np.sqrt(1.0 / n)
-            g.setflags(write=False)
-            self._modes = g
-        return self._modes
-
-
-def build_eigenbasis(p: ChainParams) -> EigenBasis:
-    """Eigenbasis of the open-chain hop; rings use the plane-wave propagator
-    in the kicked-rotor reference module instead."""
-    if p.boundary != "open":
-        raise ValueError("build_eigenbasis handles the open chain only; "
-                         "use qkr.ring_propagator for ring boundaries")
-    return EigenBasis(p.n_sites, p.beta)
+def _cosine_modes(n_sites: int) -> np.ndarray:
+    """N x N orthogonal matrix whose row m is cosine mode m, built entry by
+    entry (never through the DCT) so the oracles stay independent of evolve."""
+    n = n_sites
+    m = np.arange(n, dtype=np.float64)[:, None]
+    j = np.arange(n, dtype=np.float64)[None, :]
+    g = np.sqrt(2.0 / n) * np.cos(np.pi / (2.0 * n) * m * (2.0 * j + 1.0))
+    g[0, :] = np.sqrt(1.0 / n)
+    return g
 
 
 def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """Independent dense Hamiltonian for cross-checking the eigenbasis.
+    """Independent dense Hamiltonian for cross-checking the cosine modes.
 
     Built directly from the exchange coupling in the single-excitation
     sector, in phase units per period (2*J*T0 = beta): hopping -beta/2 on
@@ -115,22 +82,21 @@ def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray
 
 
 def uhc_matrix(p: ChainParams, periods: float, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense hopping propagator over ``periods`` driving periods.
+    """Dense hopping propagator over ``periods`` driving periods (test oracle).
 
     Entry (r, s) = sum_m a_m^2 exp(-i*phi_m*periods) cos-mode_m(r) cos-mode_m(s).
-    Sizes above ``dense_cap`` raise CapacityError; use the transform engine
-    for large chains.
+    Sizes above ``dense_cap`` raise CapacityError; ``evolve`` has no such
+    limit.
     """
     if p.boundary != "open":
         raise ValueError("uhc_matrix covers the open chain; use qkr.ring_propagator for rings")
     if p.n_sites > dense_cap:
         raise CapacityError(
             f"dense propagator for n_sites={p.n_sites} exceeds cap {dense_cap}; "
-            "the transform engine has no such limit"
+            "evolve has no such limit"
         )
-    basis = build_eigenbasis(p)
-    g = basis.mode_vectors
-    d = np.exp(-1j * basis.eigenphases * periods)
+    g = _cosine_modes(p.n_sites)
+    d = np.exp(-1j * hop_eigenphases(p.n_sites, p.beta) * periods)
     return g.T @ (d[:, None] * g)
 
 
@@ -139,57 +105,53 @@ def _hop_transform(amps: np.ndarray, phase_factors: np.ndarray) -> np.ndarray:
     return idct(phase_factors * dct(amps, type=2, norm="ortho"), type=2, norm="ortho")
 
 
-def apply_uhc(state: SpinState, basis: EigenBasis, periods: float) -> SpinState:
-    """Hop ``state`` for ``periods`` periods (fractional and negative allowed)."""
-    if state.n_sites != basis.n_sites:
-        raise DimensionMismatchError(
-            f"state has {state.n_sites} sites but basis has {basis.n_sites}"
-        )
-    factors = np.exp(-1j * basis.eigenphases * periods)
-    return SpinState(_hop_transform(state.amplitudes, factors))
-
-
 def kick_phases(p: ChainParams) -> np.ndarray:
     """Site-diagonal kick factors exp(-i * (b_q/2) * (site - center)**2)."""
     offsets = np.arange(p.n_sites, dtype=np.float64) - (p.center - 1)
     return np.exp(-0.5j * p.b_q * offsets**2)
 
 
-def apply_kick(state: SpinState, p: ChainParams) -> SpinState:
-    """One instantaneous parabolic phase kick."""
+@dataclass(frozen=True, eq=False)
+class EvolutionContext:
+    """Parameters plus the read-only one-period factors they imply: hop
+    factors act on cosine-mode amplitudes, kick factors on site amplitudes."""
+
+    params: ChainParams
+    hop_factors: np.ndarray
+    kick_factors: np.ndarray
+
+
+def make_context(p: ChainParams) -> EvolutionContext:
+    """Precompute one period's factors; rings have no cosine modes and are
+    covered by ``qkr.ring_propagator`` instead."""
+    if p.boundary != "open":
+        raise ValueError("evolution covers the open chain only; "
+                         "use qkr.ring_propagator for ring boundaries")
+    hop = np.exp(-1j * hop_eigenphases(p.n_sites, p.beta))
+    kick = kick_phases(p)
+    hop.setflags(write=False)
+    kick.setflags(write=False)
+    return EvolutionContext(params=p, hop_factors=hop, kick_factors=kick)
+
+
+def _check_sites(state: SpinState, p: ChainParams) -> None:
     if state.n_sites != p.n_sites:
         raise DimensionMismatchError(
             f"state has {state.n_sites} sites but params have {p.n_sites}"
         )
-    return SpinState(state.amplitudes * kick_phases(p))
-
-
-@dataclass(frozen=True)
-class EvolutionContext:
-    """Parameters plus the hop eigenbasis they imply."""
-
-    params: ChainParams
-    basis: EigenBasis
-
-
-def make_context(p: ChainParams) -> EvolutionContext:
-    return EvolutionContext(params=p, basis=build_eigenbasis(p))
 
 
 def step_period(state: SpinState, ctx: EvolutionContext) -> SpinState:
     """One full driving period: hop for one period, then kick."""
-    return apply_kick(apply_uhc(state, ctx.basis, 1.0), ctx.params)
+    _check_sites(state, ctx.params)
+    return SpinState(_hop_transform(state.amplitudes, ctx.hop_factors) * ctx.kick_factors)
 
 
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
     """Exact inverse of step_period: conjugate kick, then hop backwards."""
-    if state.n_sites != ctx.params.n_sites:
-        raise DimensionMismatchError(
-            f"state has {state.n_sites} sites but params have {ctx.params.n_sites}"
-        )
-    amps = state.amplitudes * np.conj(kick_phases(ctx.params))
-    factors = np.exp(1j * ctx.basis.eigenphases)
-    return SpinState(_hop_transform(amps, factors))
+    _check_sites(state, ctx.params)
+    amps = state.amplitudes * np.conj(ctx.kick_factors)
+    return SpinState(_hop_transform(amps, np.conj(ctx.hop_factors)))
 
 
 @dataclass(frozen=True)
@@ -215,27 +177,21 @@ def evolve(
     ctx: EvolutionContext,
     n_periods: int,
     record_every: int = 1,
-    engine: str = "transform",
     max_snapshot_values: int = MAX_SNAPSHOT_VALUES,
 ) -> Trajectory:
     """Drive ``initial`` for ``n_periods`` periods, recording snapshots.
 
     Snapshots are stored at period 0, at every multiple of ``record_every``,
-    and at the final period.  The two engines are numerically equivalent:
-    ``dense`` multiplies by the materialized hop matrix (size-capped),
-    ``transform`` uses the cosine-transform fast path.
+    and at the final period.  Each period is one cosine-transform hop and
+    one kick on the raw amplitude array; only recorded snapshots become
+    SpinState values.
     """
     p = ctx.params
-    if initial.n_sites != p.n_sites:
-        raise DimensionMismatchError(
-            f"state has {initial.n_sites} sites but params have {p.n_sites}"
-        )
+    _check_sites(initial, p)
     if n_periods < 0:
         raise ValueError("n_periods must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if engine not in ("dense", "transform"):
-        raise ValueError(f"engine must be 'dense' or 'transform', got {engine!r}")
 
     n_snapshots = 1 + n_periods // record_every + (1 if n_periods % record_every else 0)
     if n_snapshots * p.n_sites > max_snapshot_values:
@@ -245,21 +201,12 @@ def evolve(
             "or increase record_every"
         )
 
-    kick = kick_phases(p)
-    if engine == "dense":
-        u_hop = uhc_matrix(p, 1.0)
-    else:
-        hop_factors = np.exp(-1j * ctx.basis.eigenphases)
-
+    hop, kick = ctx.hop_factors, ctx.kick_factors
     periods = [0]
     states = [initial]
     amps = initial.amplitudes
     for j in range(1, n_periods + 1):
-        if engine == "dense":
-            amps = u_hop @ amps
-        else:
-            amps = _hop_transform(amps, hop_factors)
-        amps = amps * kick
+        amps = _hop_transform(amps, hop) * kick
         if j % record_every == 0 or j == n_periods:
             periods.append(j)
             states.append(SpinState(amps))

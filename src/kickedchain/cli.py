@@ -2,8 +2,8 @@
 
     kickedchain <experiment> [--config FILE] [--set key=value ...] [--out DIR]
 
-Exit codes: 0 success, 1 configuration error, 2 capacity error,
-3 validation-suite failure.
+Exit codes: 0 success, 1 configuration or output-path error, 2 snapshot
+memory budget exceeded, 3 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, MemoryBudgetError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
     for filename, digest in manifest.files.items():
         print(f"wrote {os.path.join(manifest.output_dir, filename)}  sha256={digest[:12]}")

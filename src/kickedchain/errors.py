@@ -14,7 +14,7 @@ class MemoryBudgetError(KickedChainError):
 
 
 class DimensionMismatchError(KickedChainError):
-    """State, basis, or matrix dimensions do not agree."""
+    """State, parameter, or matrix dimensions do not agree."""
 
 
 class ConfigError(KickedChainError):

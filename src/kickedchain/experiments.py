@@ -3,7 +3,7 @@
 Every experiment produces flat files in the configured output directory
 plus a ``manifest.json`` echoing the configuration, the derived
 parameters, and a SHA-256 digest of each data file.  Data bytes are a
-pure function of (config, seed, package version): numbers are formatted
+pure function of (config, package version): numbers are formatted
 with locale-independent printf codes, JSON keys are sorted, and files
 are written atomically (temp file then rename).
 """
@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .chain import evolve, make_context
 from .config import ExperimentConfig, config_values
-from .errors import ConfigError, NotLocalizedError
+from .errors import ConfigError, NotLocalizedError, PacketsOutOfRangeError
 from .observables import (
+    CORRIDOR_FRACTION,
     ModeReport,
     detect_accelerator_modes,
     fit_localization_length,
@@ -35,7 +36,7 @@ from .observables import (
     spread_variance,
 )
 from .params import ChainParams, derived_params
-from .protocol import run_protocol
+from .protocol import packet_centers, run_protocol
 from .qkr import rechester_d
 from .state import site_state
 from .validation import validate_suite
@@ -108,7 +109,7 @@ def trackable_pulses(p: ChainParams) -> int:
     if p.b_q <= 0.0:
         return 0
     advance = 2.0 * math.pi / p.b_q
-    margin = 0.25 * advance + 3.0 / math.sqrt(p.b_q)
+    margin = CORRIDOR_FRACTION * advance + 3.0 / math.sqrt(p.b_q)
     half_extent = min(p.center - 1, p.n_sites - p.center)
     return max(0, int((half_extent - margin) / advance))
 
@@ -116,7 +117,7 @@ def trackable_pulses(p: ChainParams) -> int:
 def _trajectory(cfg: ExperimentConfig):
     ctx = make_context(cfg.chain)
     start = site_state(cfg.chain.n_sites, cfg.chain.center)
-    return evolve(start, ctx, cfg.n_periods, record_every=cfg.record_every, engine=cfg.engine)
+    return evolve(start, ctx, cfg.n_periods, record_every=cfg.record_every)
 
 
 def _distribution_rows(traj) -> list[tuple]:
@@ -233,6 +234,13 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
 
 
 def _run_protocol(cfg: ExperimentConfig) -> dict:
+    # Check the packet geometry 'n_periods' implies before evolving, as accel does.
+    try:
+        packet_centers(cfg.chain, cfg.n_periods)
+    except (ValueError, PacketsOutOfRangeError) as exc:
+        raise ConfigError(
+            f"protocol at n_periods={cfg.n_periods}, b_q={cfg.chain.b_q!r}: {exc}"
+        ) from exc
     report = run_protocol(cfg.chain, cfg.n_periods)
     payload = {"n_pulses": cfg.n_periods, **asdict(report)}
     return {"report.json": _json_text(payload)}

@@ -20,7 +20,7 @@ from .errors import (
     NotLocalizedError,
     PoorFitWarning,
 )
-from .params import ChainParams, DerivedParams
+from .params import ChainParams
 from .state import SpinState
 
 # Localization-fit window rules: start 2 sites off-peak, stop at the first
@@ -130,11 +130,6 @@ def fit_diffusion(
             warnings.warn(f"diffusion fit explains little variance (r^2 = {r_squared:.3f})",
                           PoorFitWarning, stacklevel=2)
     return DiffusionFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def break_time(d: DerivedParams) -> float:
-    """Periods until quantum interference halts diffusive spreading, (K_s/b_q)^2."""
-    return d.break_time
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,12 @@ def central_measurement(
     return _branch(True, outside), _branch(False, inside)
 
 
-def ideal_packet_pair(p: ChainParams, pulse_index: int) -> SpinState:
-    """Reference superposition of two Gaussians at center +- 2*pi*j/b_q.
+def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:
+    """Ballistic packet centers center -+ 2*pi*j/b_q after ``pulse_index`` pulses.
 
-    Each packet has the accelerator-mode profile e^{-b_q (s - s_j)^2}; the
-    pair is an equal-weight, zero-relative-phase superposition.  Raises
-    PacketsOutOfRangeError when a packet center sits closer than
-    3/sqrt(b_q) to a chain end.
+    Raises ValueError for pulse_index < 1 or b_q = 0, and
+    PacketsOutOfRangeError when a center sits closer than 3/sqrt(b_q) to
+    a chain end.
     """
     if pulse_index < 1:
         raise ValueError("pulse_index must be >= 1")
@@ -98,15 +97,30 @@ def ideal_packet_pair(p: ChainParams, pulse_index: int) -> SpinState:
             f"packet centers {s_left:.1f}, {s_right:.1f} need {margin:.1f} sites of "
             f"clearance inside [1, {p.n_sites}]"
         )
+    return s_left, s_right
+
+
+def _gaussian(p: ChainParams, center: float) -> np.ndarray:
+    # The accelerator-mode amplitude profile e^{-b_q (s - center)^2}, unnormalized.
     sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
-    pair = np.exp(-p.b_q * (sites - s_left) ** 2) + np.exp(-p.b_q * (sites - s_right) ** 2)
+    return np.exp(-p.b_q * (sites - center) ** 2)
+
+
+def ideal_packet_pair(p: ChainParams, pulse_index: int) -> SpinState:
+    """Reference superposition of two Gaussians at center +- 2*pi*j/b_q.
+
+    Each packet has the accelerator-mode profile e^{-b_q (s - s_j)^2}; the
+    pair is an equal-weight, zero-relative-phase superposition.  Raises as
+    ``packet_centers`` does.
+    """
+    s_left, s_right = packet_centers(p, pulse_index)
+    pair = _gaussian(p, s_left) + _gaussian(p, s_right)
     pair = pair.astype(np.complex128)
     return SpinState(pair / np.linalg.norm(pair))
 
 
 def _packet(p: ChainParams, center: float) -> np.ndarray:
-    sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
-    g = np.exp(-p.b_q * (sites - center) ** 2)
+    g = _gaussian(p, center)
     return g / np.linalg.norm(g)
 
 
@@ -152,12 +166,9 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
 
     valid because the two reference Gaussians have negligible overlap.
     """
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
-    ideal_packet_pair(p, n_pulses)  # validate geometry up front
-    ctx = make_context(p)
-    traj = evolve(site_state(p.n_sites, p.center), ctx, n_pulses,
-                  record_every=n_pulses, engine="transform")
+    s_left, s_right = packet_centers(p, n_pulses)
+    traj = evolve(site_state(p.n_sites, p.center), make_context(p), n_pulses,
+                  record_every=n_pulses)
     final = traj.final
     window = measurement_window(p, final, n_pulses)
     absent, _found = central_measurement(final, window)
@@ -169,9 +180,8 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
             right_weight=0.0,
         )
     post = absent.post_state.amplitudes
-    hop = 2.0 * math.pi / p.b_q
-    g_left = _packet(p, p.center - hop * n_pulses)
-    g_right = _packet(p, p.center + hop * n_pulses)
+    g_left = _packet(p, s_left)
+    g_right = _packet(p, s_right)
     c_left = abs(np.vdot(g_left, post))
     c_right = abs(np.vdot(g_right, post))
     fidelity = 0.5 * (c_left + c_right) ** 2

@@ -19,12 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import QuadratureConvergenceError, WeakChaosWarning
 from .params import ChainParams
-
-BESSEL_MAX_ORDER = 200
-BESSEL_MAX_ARG = 1e3
 
 # Stable first-order accelerator modes exist for alpha = K/2pi in this window
 # (inclusive); outside it the kicked dynamics has no ballistic island pair.
@@ -58,12 +56,6 @@ class RotorBasis:
     def beta(self) -> float:
         return self.kick_strength / self.hbar
 
-    @classmethod
-    def from_chain(cls, p: ChainParams) -> "RotorBasis":
-        if p.b_q <= 0.0:
-            raise ValueError("rotor correspondence requires b_q > 0")
-        return cls(size=p.n_sites, hbar=p.b_q, kick_strength=p.beta * p.b_q)
-
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -76,86 +68,6 @@ class PhasePoint:
         if not (math.isfinite(self.angle) and math.isfinite(self.momentum)):
             raise ValueError("angle and momentum must be finite")
         object.__setattr__(self, "angle", self.angle % (2.0 * math.pi))
-
-
-def _bessel_series(n: int, x: float) -> float:
-    # Alternating power series; used only for small x where it cannot cancel.
-    half = 0.5 * x
-    term = 1.0
-    for k in range(1, n + 1):
-        term *= half / k
-    total = term
-    k = 1
-    while True:
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-            return total
-        k += 1
-
-
-def _bessel_all(n_max: int, x: float) -> np.ndarray:
-    """J_0(x)..J_{n_max}(x) by one downward-recurrence (Miller) pass.
-
-    Rescales on the fly so that orders far above the turning point, whose
-    true values underflow, do not overflow the recurrence.
-    """
-    if x < 0.0 or n_max < 0:
-        raise ValueError("internal: _bessel_all expects x >= 0 and n_max >= 0")
-    out = np.zeros(n_max + 1, dtype=np.float64)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    if x <= 1.0:
-        for n in range(n_max + 1):
-            out[n] = _bessel_series(n, x)
-        return out
-
-    start = max(n_max, int(math.ceil(x))) + 2 * int(math.ceil(math.sqrt(max(n_max, x)))) + 20
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 <= n_max:
-            out[k - 1] = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += jc
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-    total = 2.0 * norm + jc  # J_0 + 2 * sum_{even k >= 2} J_k = 1
-    out /= total
-    return out
-
-
-def bessel_j(order: int, arg: float) -> float:
-    """Bessel function of the first kind J_order(arg).
-
-    Downward recurrence with a power-series fallback at small argument;
-    relative accuracy ~1e-10 away from zeros.  The supported domain is
-    |order| <= 200 and |arg| <= 1e3.
-    """
-    if not isinstance(order, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if abs(order) > BESSEL_MAX_ORDER:
-        raise ValueError(f"|order| exceeds supported maximum {BESSEL_MAX_ORDER}")
-    if not math.isfinite(arg) or abs(arg) > BESSEL_MAX_ARG:
-        raise ValueError(f"|arg| exceeds supported maximum {BESSEL_MAX_ARG}")
-    n, x = int(order), float(arg)
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    return sign * float(_bessel_all(n, x)[n])
 
 
 def _i_power_times_bessel(orders: np.ndarray, bessel_by_abs: np.ndarray) -> np.ndarray:
@@ -171,7 +83,7 @@ def qkr_kick_matrix(basis: RotorBasis) -> np.ndarray:
     Symmetric Toeplitz; at beta = 0 it is the identity.
     """
     n = basis.size
-    js = _bessel_all(n - 1, basis.beta)
+    js = jv(np.arange(n), basis.beta)
     idx = np.arange(n)
     d = idx[:, None] - idx[None, :]
     return _i_power_times_bessel(d, js)
@@ -184,7 +96,7 @@ def ring_kick_matrix(basis: RotorBasis) -> np.ndarray:
     aliased orders beyond that are negligible for beta well below N.
     """
     n = basis.size
-    js = _bessel_all(n // 2, basis.beta)
+    js = jv(np.arange(n // 2 + 1), basis.beta)
     idx = np.arange(n)
     d = idx[:, None] - idx[None, :]
     dw = (d + n // 2) % n - n // 2
@@ -296,7 +208,7 @@ def rechester_d(kick_strength: float) -> float:
     """
     if not math.isfinite(kick_strength) or kick_strength <= 0.0:
         raise ValueError(f"kick_strength must be positive, got {kick_strength!r}")
-    j2 = bessel_j(2, kick_strength)
+    j2 = float(jv(2, kick_strength))
     return 0.5 * kick_strength**2 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2)
 
 

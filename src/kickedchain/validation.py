@@ -9,7 +9,6 @@ a failure here means a real regression, not noise.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,8 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import observables
-from .chain import build_eigenbasis, evolve, make_context, oracle_hamiltonian, uhc_matrix
+from . import chain, observables
 from .params import ChainParams
 from .qkr import (
     RotorBasis,
@@ -80,19 +78,19 @@ def _check_eigenbasis() -> float:
     # Cosine modes and phases against dense diagonalization of the
     # bond-counting Hamiltonian.
     p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
-    h = oracle_hamiltonian(p)
-    basis = build_eigenbasis(p)
-    g = basis.mode_vectors
-    residual = float(np.max(np.abs(h @ g.T - g.T * basis.eigenphases[None, :])))
+    h = chain.oracle_hamiltonian(p)
+    g = chain._cosine_modes(p.n_sites)
+    phases = chain.hop_eigenphases(p.n_sites, p.beta)
+    residual = float(np.max(np.abs(h @ g.T - g.T * phases[None, :])))
     eigvals = np.linalg.eigvalsh(h)
-    value_dev = float(np.max(np.abs(np.sort(eigvals) - basis.eigenphases)))
+    value_dev = float(np.max(np.abs(np.sort(eigvals) - phases)))
     return max(residual, value_dev)
 
 
 def _check_propagator_expm() -> float:
     p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
-    u = uhc_matrix(p, 1.0)
-    e = scipy.linalg.expm(-1j * oracle_hamiltonian(p))
+    u = chain.uhc_matrix(p, 1.0)
+    e = scipy.linalg.expm(-1j * chain.oracle_hamiltonian(p))
     # Allow a global phase even though none is expected.
     k = int(np.argmax(np.abs(e)))
     phase = u.flat[k] / e.flat[k]
@@ -101,12 +99,20 @@ def _check_propagator_expm() -> float:
 
 
 def _check_engine_equivalence() -> float:
-    p = ChainParams(n_sites=257, center=129, beta=30.0, b_q=0.1)
-    ctx = make_context(p)
-    start = site_state(p.n_sites, p.center)
-    dense = evolve(start, ctx, 5, engine="dense").final
-    fast = evolve(start, ctx, 5, engine="transform").final
-    return float(np.max(np.abs(dense.amplitudes - fast.amplitudes)))
+    # The transform loop of evolve against the dense oracle product
+    # diag(kick) . U_hop, applied once per period, at a prime and a
+    # power-of-two length: the DCT takes different code paths for them.
+    worst = 0.0
+    for n in (257, 256):
+        p = ChainParams(n_sites=n, center=(n + 1) // 2, beta=30.0, b_q=0.1)
+        start = site_state(n, p.center)
+        fast = chain.evolve(start, chain.make_context(p), 5).final.amplitudes
+        u = chain.kick_phases(p)[:, None] * chain.uhc_matrix(p, 1.0)
+        oracle = start.amplitudes
+        for _ in range(5):
+            oracle = u @ oracle
+        worst = max(worst, float(np.max(np.abs(oracle - fast))))
+    return worst
 
 
 def _check_quadrature() -> float:
@@ -114,7 +120,7 @@ def _check_quadrature() -> float:
     # approaches matrix elements at O(1/N): compare central entries of a
     # long chain.
     p = ChainParams(n_sites=1024, center=512, beta=10.0, b_q=0.1)
-    u = uhc_matrix(p, 1.0)
+    u = chain.uhc_matrix(p, 1.0)
     picks = (500, 511, 512, 513, 524)
     worst = 0.0
     for r in picks:
@@ -126,7 +132,7 @@ def _check_quadrature() -> float:
 def _check_kick_matrix_interior() -> float:
     n, beta = 256, 10.0
     p = ChainParams(n_sites=n, center=n // 2, beta=beta, b_q=0.1)
-    u = uhc_matrix(p, 1.0) * np.exp(1j * beta)
+    u = chain.uhc_matrix(p, 1.0) * np.exp(1j * beta)
     approx = qkr_kick_matrix(RotorBasis(size=n, hbar=0.1, kick_strength=beta * 0.1))
     mask = bessel_interior_mask(n, beta)
     return float(np.max(np.abs((u - approx)[mask])))

@@ -23,7 +23,6 @@ from kickedchain import (
     accelerator_window,
     apply_overrides,
     bessel_interior_mask,
-    build_eigenbasis,
     central_measurement,
     classical_diffusion,
     concurrence_profile_max,
@@ -32,6 +31,7 @@ from kickedchain import (
     evolve,
     fit_diffusion,
     fit_localization_length,
+    hop_eigenphases,
     ipr,
     make_context,
     measurement_window,
@@ -50,6 +50,7 @@ from kickedchain import (
     spread_variance,
     uhc_matrix,
 )
+from kickedchain.chain import _cosine_modes
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 
@@ -62,11 +63,11 @@ def test_criterion_01_eigenbasis_matches_diagonalization():
     t0 = time.perf_counter()
     p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
     h = oracle_hamiltonian(p)
-    basis = build_eigenbasis(p)
-    g = basis.mode_vectors
-    residual = float(np.max(np.abs(h @ g.T - g.T * basis.eigenphases[None, :])))
+    g = _cosine_modes(p.n_sites)
+    phases = hop_eigenphases(p.n_sites, p.beta)
+    residual = float(np.max(np.abs(h @ g.T - g.T * phases[None, :])))
     eigvals = np.sort(np.linalg.eigvalsh(h))
-    diff = eigvals - basis.eigenphases
+    diff = eigvals - phases
     shifted = float(np.max(np.abs(diff - diff.mean())))
     dev = max(residual, shifted)
     elapsed = time.perf_counter() - t0
@@ -118,7 +119,7 @@ def test_criterion_03_kicked_rotor_correspondence():
 
 def test_criterion_04_ballistic_packet_reproduction():
     t0 = time.perf_counter()
-    traj = evolve(site_state(1401, 701), make_context(FIG1), 6, engine="transform")
+    traj = evolve(site_state(1401, 701), make_context(FIG1), 6)
     reports = {
         period: detect_accelerator_modes(state, period, FIG1)
         for period, state in traj
@@ -153,7 +154,7 @@ def test_criterion_05_short_time_diffusion():
     p = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=0.05)
     d_ref = rechester_d(5.0)
 
-    traj = evolve(site_state(1401, 701), make_context(p), 10, engine="transform")
+    traj = evolve(site_state(1401, 701), make_context(p), 10)
     series = [
         (period, spread_variance(site_distribution(state), 701, p.b_q))
         for period, state in traj
@@ -200,7 +201,7 @@ def test_criterion_07_mode_decay_rate_and_oscillation():
     t0 = time.perf_counter()
     p10 = ChainParams(n_sites=2701, center=1351, beta=200.0 / 3.0, b_q=0.1)
     assert accelerator_window(derived_params(p10).k_s).inside
-    traj = evolve(site_state(2701, 1351), make_context(p10), 20, engine="transform")
+    traj = evolve(site_state(2701, 1351), make_context(p10), 20)
     reports = [
         detect_accelerator_modes(state, period, p10)
         for period, state in traj
@@ -209,7 +210,7 @@ def test_criterion_07_mode_decay_rate_and_oscillation():
     fit10 = mode_decay(reports)
 
     p15 = ChainParams(n_sites=2701, center=1351, beta=100.0, b_q=1.0 / 15.0)
-    traj15 = evolve(site_state(2701, 1351), make_context(p15), 12, engine="transform")
+    traj15 = evolve(site_state(2701, 1351), make_context(p15), 12)
     reports15 = [
         detect_accelerator_modes(state, period, p15)
         for period, state in traj15
@@ -265,7 +266,7 @@ def test_criterion_09_heralded_packet_pair():
     t0 = time.perf_counter()
     result = run_protocol(FIG1, 4)
 
-    traj = evolve(site_state(1401, 701), make_context(FIG1), 4, engine="transform")
+    traj = evolve(site_state(1401, 701), make_context(FIG1), 4)
     window = measurement_window(FIG1, traj.final, 4)
     absent, _ = central_measurement(traj.final, window)
     lo, hi = window

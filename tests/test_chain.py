@@ -6,9 +6,7 @@ from kickedchain import (
     CapacityError,
     ChainParams,
     MemoryBudgetError,
-    apply_kick,
-    apply_uhc,
-    build_eigenbasis,
+    SpinState,
     evolve,
     hop_eigenphases,
     make_context,
@@ -18,7 +16,10 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
-from kickedchain.chain import kick_phases
+from kickedchain.chain import _cosine_modes, _hop_transform, kick_phases
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 P64 = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
 
@@ -32,26 +33,26 @@ class TestEigenbasis:
         assert got[0] == 0.0
 
     def test_modes_orthonormal(self):
-        g = build_eigenbasis(P64).mode_vectors
+        g = _cosine_modes(64)
         assert np.max(np.abs(g @ g.T - np.eye(64))) < 1e-12
 
     def test_modes_diagonalize_hamiltonian(self):
         # Independent route: dense bond-counting Hamiltonian.
         h = oracle_hamiltonian(P64)
-        basis = build_eigenbasis(P64)
-        g = basis.mode_vectors
-        residual = np.max(np.abs(h @ g.T - g.T * basis.eigenphases[None, :]))
+        g = _cosine_modes(64)
+        phases = hop_eigenphases(64, P64.beta)
+        residual = np.max(np.abs(h @ g.T - g.T * phases[None, :]))
         assert residual < 1e-10
 
     def test_phases_match_dense_spectrum(self):
         h = oracle_hamiltonian(P64)
         eigvals = np.sort(np.linalg.eigvalsh(h))
-        assert np.max(np.abs(eigvals - build_eigenbasis(P64).eigenphases)) < 1e-10
+        assert np.max(np.abs(eigvals - hop_eigenphases(64, P64.beta))) < 1e-10
 
     def test_ring_refused(self):
         ring = ChainParams(n_sites=8, center=4, beta=1.0, b_q=0.1, boundary="ring")
         with pytest.raises(ValueError):
-            build_eigenbasis(ring)
+            make_context(ring)
 
     def test_ring_hamiltonian_wraps(self):
         ring = ChainParams(n_sites=8, center=4, beta=2.0, b_q=0.1, boundary="ring")
@@ -89,8 +90,7 @@ class TestPropagator:
 
     def test_transform_route_matches_dense(self, make_random_state):
         state = make_random_state(64)
-        basis = build_eigenbasis(P64)
-        via_transform = apply_uhc(state, basis, 1.0).amplitudes
+        via_transform = _hop_transform(state.amplitudes, make_context(P64).hop_factors)
         via_matrix = uhc_matrix(P64, 1.0) @ state.amplitudes
         assert np.max(np.abs(via_transform - via_matrix)) < 1e-12
 
@@ -106,15 +106,14 @@ class TestKick:
     def test_kick_preserves_probabilities(self, make_random_state):
         p = ChainParams(n_sites=32, center=16, beta=1.0, b_q=0.3)
         state = make_random_state(32)
-        kicked = apply_kick(state, p)
-        assert np.allclose(
-            np.abs(kicked.amplitudes), np.abs(state.amplitudes), atol=1e-15
-        )
+        kicked = state.amplitudes * kick_phases(p)
+        assert np.allclose(np.abs(kicked), np.abs(state.amplitudes), atol=1e-15)
 
     def test_kick_off_is_identity(self, make_random_state):
         p = ChainParams(n_sites=32, center=16, beta=1.0, b_q=0.0)
         state = make_random_state(32)
-        assert np.array_equal(apply_kick(state, p).amplitudes, state.amplitudes)
+        assert np.all(kick_phases(p) == 1.0)
+        assert np.array_equal(state.amplitudes * kick_phases(p), state.amplitudes)
 
 
 class TestEvolution:
@@ -123,14 +122,6 @@ class TestEvolution:
         state = make_random_state(64)
         back = step_period_inverse(step_period(state, ctx), ctx)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
-
-    def test_engines_agree(self):
-        p = ChainParams(n_sites=101, center=51, beta=20.0, b_q=0.2)
-        ctx = make_context(p)
-        start = site_state(101, 51)
-        dense = evolve(start, ctx, 7, engine="dense").final
-        fast = evolve(start, ctx, 7, engine="transform").final
-        assert np.max(np.abs(dense.amplitudes - fast.amplitudes)) < 1e-10
 
     def test_norm_conserved_long_run(self):
         ctx = make_context(P64)
@@ -148,11 +139,6 @@ class TestEvolution:
         with pytest.raises(MemoryBudgetError):
             evolve(site_state(64, 32), ctx, 10, max_snapshot_values=100)
 
-    def test_rejects_engine_typo(self):
-        ctx = make_context(P64)
-        with pytest.raises(ValueError):
-            evolve(site_state(64, 32), ctx, 1, engine="fast")
-
     def test_rejects_size_mismatch(self):
         ctx = make_context(P64)
         from kickedchain import DimensionMismatchError
@@ -169,3 +155,41 @@ class TestEvolution:
         u = np.diag(kick_phases(p)) @ uhc_matrix(p, 1.0)
         want = np.linalg.matrix_power(u, 3) @ start.amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 127, 211, 251, 257, 293)
+
+
+class TestOnePath:
+    """evolve, step_period and step_period_inverse over random chains,
+    against the dense oracle product diag(kick) . U_hop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sites=st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from(PRIMES)),
+        beta=st.floats(min_value=0.0, max_value=60.0),
+        b_q=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+        where=st.sampled_from(("first", "middle", "last")),
+        n_periods=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_evolve_matches_oracle_product(self, n_sites, beta, b_q, where, n_periods, seed):
+        center = {"first": 1, "middle": (n_sites + 1) // 2, "last": n_sites}[where]
+        p = ChainParams(n_sites=n_sites, center=center, beta=beta, b_q=b_q)
+        ctx = make_context(p)
+        start = site_state(n_sites, center)
+
+        traj = evolve(start, ctx, n_periods)
+        u = kick_phases(p)[:, None] * uhc_matrix(p, 1.0)
+        want = start.amplitudes
+        for period, state in traj:
+            assert np.max(np.abs(state.amplitudes - want)) < 1e-10
+            assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+            want = u @ want
+        assert traj.periods == tuple(range(n_periods + 1))
+
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+        state = SpinState(amps / np.linalg.norm(amps))
+        back = step_period_inverse(step_period(state, ctx), ctx)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12

@@ -25,8 +25,6 @@ class TestDefaults:
         assert cfg.chain.boundary == "open"
         assert cfg.n_periods == 6
         assert cfg.record_every == 1
-        assert cfg.engine == "transform"
-        assert cfg.seed == 0
         assert cfg.format == "csv"
 
     def test_comments_and_blank_lines(self):
@@ -60,15 +58,21 @@ class TestErrors:
             parse_config("beta = 50\nwhat is this\n")
 
     def test_bad_choice_named(self):
-        with pytest.raises(ConfigError, match="engine"):
-            parse_config("engine = warp\n")
+        with pytest.raises(ConfigError, match="format"):
+            parse_config("format = xml\n")
+
+    @pytest.mark.parametrize("key,value", [("engine", "dense"), ("seed", "3"), ("boundary", "ring")])
+    def test_removed_keys_are_unknown(self, key, value):
+        # No key selects the evolution path, seeds a run or picks a ring.
+        with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+            parse_config(f"{key} = {value}\n")
 
 
 class TestOverrides:
     def test_applied_on_top(self):
-        cfg = apply_overrides(parse_config("beta = 10\n"), ["beta=20", "seed=5"])
+        cfg = apply_overrides(parse_config("beta = 10\n"), ["beta=20", "n_periods=5"])
         assert cfg.chain.beta == 20.0
-        assert cfg.seed == 5
+        assert cfg.n_periods == 5
 
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -89,15 +93,15 @@ class TestOverrides:
 
 class TestRoundTrip:
     def test_serialize_parse_fixed_point(self):
-        cfg = parse_config("beta = 33.25\nb_q = 0.1\nseed = 9\n")
+        cfg = parse_config("beta = 33.25\nb_q = 0.1\nrecord_every = 9\n")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_config_values_covers_every_key(self):
         cfg = parse_config("")
         values = config_values(cfg)
         assert set(values) == {
-            "experiment", "n_sites", "center", "beta", "b_q", "boundary",
-            "n_periods", "record_every", "engine", "seed", "output_dir", "format",
+            "experiment", "n_sites", "center", "beta", "b_q",
+            "n_periods", "record_every", "output_dir", "format",
         }
 
     @settings(max_examples=40, deadline=None)
@@ -105,12 +109,12 @@ class TestRoundTrip:
         beta=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
         b_q=st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
         n_sites=st.integers(min_value=2, max_value=5000),
-        seed=st.integers(min_value=0, max_value=2**31),
+        n_periods=st.integers(min_value=0, max_value=2**31),
     )
-    def test_round_trip_random_values(self, beta, b_q, n_sites, seed):
+    def test_round_trip_random_values(self, beta, b_q, n_sites, n_periods):
         text = (
             f"beta = {beta!r}\nb_q = {b_q!r}\n"
-            f"n_sites = {n_sites}\ncenter = 1\nseed = {seed}\n"
+            f"n_sites = {n_sites}\ncenter = 1\nn_periods = {n_periods}\n"
         )
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg

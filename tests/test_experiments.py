@@ -79,7 +79,6 @@ class TestManifest:
             center=echo["center"],
             beta=echo["beta"],
             b_q=echo["b_q"],
-            boundary=echo["boundary"],
         )
         d = derived_params(chain)
         assert manifest["derived"]["k_s"] == d.k_s

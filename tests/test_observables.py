@@ -9,10 +9,8 @@ from kickedchain import (
     ModeReport,
     SiteDistribution,
     SpinState,
-    break_time,
     concurrence,
     concurrence_profile_max,
-    derived_params,
     detect_accelerator_modes,
     fit_diffusion,
     fit_localization_length,
@@ -75,10 +73,6 @@ class TestDiffusionFit:
     def test_needs_three_points(self):
         with pytest.raises(InsufficientDataError):
             fit_diffusion([(0, 0.0), (1, 1.0)], (0, 1))
-
-    def test_break_time_passthrough(self):
-        p = ChainParams(n_sites=100, center=50, beta=10.0, b_q=0.5)
-        assert break_time(derived_params(p)) == 100.0
 
 
 class TestLocalizationFit:

@@ -10,7 +10,6 @@ from kickedchain import (
     RotorBasis,
     accelerator_window,
     bessel_interior_mask,
-    bessel_j,
     classical_diffusion,
     frs_quadrature,
     qkr_kick_matrix,
@@ -24,25 +23,34 @@ from kickedchain.errors import WeakChaosWarning
 
 
 class TestBessel:
+    # scipy.special.jv is evaluated inside the kick matrices; these pin the
+    # values that reach them, column 0 of the matrix holding i^d J_d(beta).
     @pytest.mark.parametrize("arg", [0.5, 5.0, 10.0, 100.0, 666.7])
     def test_against_scipy(self, arg):
-        # scipy.special.jv is the independent route; the package carries its
-        # own Miller-recurrence evaluation.
+        m = qkr_kick_matrix(RotorBasis(size=51, hbar=1.0, kick_strength=arg))
         for order in range(0, 51):
-            want = scipy.special.jv(order, arg)
-            assert bessel_j(order, arg) == pytest.approx(want, abs=1e-9)
+            want = 1j**order * scipy.special.jv(order, arg)
+            assert m[order, 0] == pytest.approx(want, abs=1e-9)
 
     def test_negative_order_symmetry(self):
-        assert bessel_j(-3, 7.0) == pytest.approx(-bessel_j(3, 7.0), abs=1e-15)
-        assert bessel_j(-4, 7.0) == pytest.approx(bessel_j(4, 7.0), abs=1e-15)
+        # i^{-d} J_{-d} = i^d J_d makes the matrix symmetric, not Hermitian.
+        m = qkr_kick_matrix(RotorBasis(size=8, hbar=1.0, kick_strength=7.0))
+        assert m[0, 3] == pytest.approx(1j**-3 * scipy.special.jv(-3, 7.0), abs=1e-15)
+        assert m[0, 4] == pytest.approx(m[4, 0], abs=1e-15)
+        assert m[0, 3] == pytest.approx(m[3, 0], abs=1e-15)
 
     def test_zero_argument(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(3, 0.0) == 0.0
+        m = qkr_kick_matrix(RotorBasis(size=4, hbar=1.0, kick_strength=0.0))
+        assert m[0, 0] == 1.0
+        assert m[3, 0] == 0.0
 
     def test_j2_at_five_is_small(self):
-        # The K_s = 5 operating point sits at a node of J_2.
-        assert bessel_j(2, 5.0) == pytest.approx(0.046565116277752, abs=1e-12)
+        # The K_s = 5 operating point sits at a node of J_2, which enters
+        # rechester_d as well as the kick matrix (entry i^2 J_2 = -J_2).
+        m = qkr_kick_matrix(RotorBasis(size=4, hbar=1.0, kick_strength=5.0))
+        assert -m[2, 0].real == pytest.approx(0.046565116277752, abs=1e-12)
+        j2 = 0.046565116277752
+        assert rechester_d(5.0) == pytest.approx(12.5 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2), rel=1e-12)
 
 
 class TestRechester:
