@@ -76,8 +76,6 @@ from .protocol import (
 )
 from .qkr import (
     AcceleratorWindow,
-    PhasePoint,
-    RotorBasis,
     accelerator_window,
     bessel_interior_mask,
     classical_diffusion,
@@ -86,7 +84,7 @@ from .qkr import (
     rechester_d,
     ring_kick_matrix,
     ring_propagator,
-    standard_map_step,
+    standard_map,
 )
 from .state import SpinState, site_state
 from .validation import CheckResult, ValidationReport, validate_suite

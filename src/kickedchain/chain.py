@@ -13,9 +13,10 @@ The open-chain hopping eigenmodes are the orthonormal cosine modes
 
 i.e. exactly the orthonormal type-II discrete cosine transform, so the
 hop is a DCT-II, a phase multiply and a DCT-III.  That is the one
-evolution path.  The dense matrices built here (``uhc_matrix``,
-``oracle_hamiltonian``) are size-capped test oracles only.
-Snapshots are always taken immediately after the kick.
+evolution path, and the chain is always open: the ring that matches the
+kicked rotor exactly is ``qkr.ring_propagator``.  The dense matrices built
+here (``uhc_matrix``, ``oracle_hamiltonian``) are size-capped test oracles
+only.  Snapshots are always taken immediately after the kick.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray
     Built directly from the exchange coupling in the single-excitation
     sector, in phase units per period (2*J*T0 = beta): hopping -beta/2 on
     nearest-neighbor bonds plus a diagonal (beta/2) * (number of bonds
-    touching the site).  For the open chain the end sites touch one bond
-    and the bulk two, which makes the cosine modes exact eigenvectors with
-    eigenvalues beta * (1 - cos(pi*(m-1)/N)).
+    touching the site).  The end sites touch one bond and the bulk two,
+    which makes the cosine modes exact eigenvectors with eigenvalues
+    beta * (1 - cos(pi*(m-1)/N)).
     """
     n = p.n_sites
     if n > dense_cap:
@@ -71,12 +72,8 @@ def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray
     h[idx, idx + 1] = -half
     h[idx + 1, idx] = -half
     bonds = np.full(n, 2.0)
-    if p.boundary == "open":
-        bonds[0] = 1.0
-        bonds[-1] = 1.0
-    else:
-        h[0, -1] += -half
-        h[-1, 0] += -half
+    bonds[0] = 1.0
+    bonds[-1] = 1.0
     h[np.arange(n), np.arange(n)] = half * bonds
     return h
 
@@ -88,8 +85,6 @@ def uhc_matrix(p: ChainParams, periods: float, dense_cap: int = DENSE_CAP) -> np
     Sizes above ``dense_cap`` raise CapacityError; ``evolve`` has no such
     limit.
     """
-    if p.boundary != "open":
-        raise ValueError("uhc_matrix covers the open chain; use qkr.ring_propagator for rings")
     if p.n_sites > dense_cap:
         raise CapacityError(
             f"dense propagator for n_sites={p.n_sites} exceeds cap {dense_cap}; "
@@ -122,11 +117,7 @@ class EvolutionContext:
 
 
 def make_context(p: ChainParams) -> EvolutionContext:
-    """Precompute one period's factors; rings have no cosine modes and are
-    covered by ``qkr.ring_propagator`` instead."""
-    if p.boundary != "open":
-        raise ValueError("evolution covers the open chain only; "
-                         "use qkr.ring_propagator for ring boundaries")
+    """Precompute one period's factors."""
     hop = np.exp(-1j * hop_eigenphases(p.n_sites, p.beta))
     kick = kick_phases(p)
     hop.setflags(write=False)

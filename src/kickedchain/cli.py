@@ -2,8 +2,9 @@
 
     kickedchain <experiment> [--config FILE] [--set key=value ...] [--out DIR]
 
-Exit codes: 0 success, 1 configuration or output-path error, 2 snapshot
-memory budget exceeded, 3 validation-suite failure.
+Exit codes: 0 success, 1 configuration, output-path or other run error
+(such as too few detected modes for a fit), 2 snapshot memory budget
+exceeded, 3 validation-suite failure.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .config import EXPERIMENTS, apply_overrides, parse_config, with_experiment, with_output_dir
-from .errors import CapacityError, ConfigError, MemoryBudgetError
+from .errors import CapacityError, ConfigError, KickedChainError, MemoryBudgetError
 from .experiments import run_experiment
 
 
@@ -66,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, MemoryBudgetError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except KickedChainError as exc:
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

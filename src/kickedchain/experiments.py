@@ -37,7 +37,7 @@ from .observables import (
 )
 from .params import ChainParams, derived_params
 from .protocol import packet_centers, run_protocol
-from .qkr import rechester_d
+from .qkr import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, accelerator_window, rechester_d
 from .state import site_state
 from .validation import validate_suite
 
@@ -216,6 +216,12 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
             "accel needs at least 5 recorded pulses in [2, "
             f"{last}] (chain geometry cap); got {len(fit_pulses)} "
             "from keys 'n_periods'/'record_every'/'n_sites'"
+        )
+    window = accelerator_window(derived_params(cfg.chain).k_s)
+    if not window.inside:
+        raise ConfigError(
+            f"accel needs alpha = beta*b_q/(2*pi) in the accelerator-mode window "
+            f"[{ACCEL_ALPHA_MIN:.2f}, {ACCEL_ALPHA_MAX:.2f}]; got alpha = {window.alpha:.4g}"
         )
     traj = _trajectory(cfg)
     reports = _mode_reports(cfg, traj)

@@ -10,7 +10,8 @@ the physics:
 
 Their product K_s = beta * b_q is the stochasticity parameter of the
 equivalent kicked rotor, with b_q playing the role of the effective
-Planck constant.
+Planck constant.  The chain is always open; the ring that matches the
+rotor exactly lives in ``qkr`` and takes (n_sites, beta) directly.
 """
 
 from __future__ import annotations
@@ -23,24 +24,18 @@ from dataclasses import dataclass
 class ChainParams:
     """Static description of one chain-plus-kick configuration.
 
-    Sites are numbered 1..n_sites; ``center`` is the site the parabolic
-    kick is centered on.  ``boundary`` selects the open chain (the
-    physical case) or a ring (used for exact kicked-rotor comparisons).
+    Sites are numbered 1..n_sites along an open chain; ``center`` is the
+    site the parabolic kick is centered on.
     """
 
     n_sites: int
     center: int
     beta: float
     b_q: float
-    boundary: str = "open"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, int) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
-        if self.boundary not in ("open", "ring"):
-            raise ValueError(f"boundary must be 'open' or 'ring', got {self.boundary!r}")
-        if self.boundary == "ring" and self.n_sites < 3:
-            raise ValueError("ring boundary needs n_sites >= 3")
         if not isinstance(self.center, int) or not 1 <= self.center <= self.n_sites:
             raise ValueError(
                 f"center must be an integer in [1, {self.n_sites}], got {self.center!r}"

@@ -9,7 +9,10 @@ rotor kick operator,
     U_hop(r, s) ~ e^{-i beta} i^{r-s} J_{r-s}(beta),
 
 exactly on a ring and up to boundary-image terms on the open chain.  The
-classical limit is the standard map with stochasticity K = beta * b_q.
+reference matrices take the plain numbers they use: a size (momentum
+states or ring sites) and the Bessel argument beta.  The classical limit
+is the standard map with stochasticity K = beta * b_q, iterated on whole
+ensembles by ``standard_map``.
 """
 
 from __future__ import annotations
@@ -32,44 +35,6 @@ ACCEL_ALPHA_MAX = 1.10
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-@dataclass(frozen=True)
-class RotorBasis:
-    """Momentum-space basis of the reference rotor.
-
-    kick_strength is the classical K; kick_strength / hbar is the argument
-    of the Bessel functions in the kick matrix.
-    """
-
-    size: int
-    hbar: float
-    kick_strength: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ValueError(f"size must be a positive integer, got {self.size!r}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar!r}")
-        if not (math.isfinite(self.kick_strength) and self.kick_strength >= 0.0):
-            raise ValueError(f"kick_strength must be nonnegative, got {self.kick_strength!r}")
-
-    @property
-    def beta(self) -> float:
-        return self.kick_strength / self.hbar
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """One point of the classical standard map, angle wrapped to [0, 2*pi)."""
-
-    angle: float
-    momentum: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.angle) and math.isfinite(self.momentum)):
-            raise ValueError("angle and momentum must be finite")
-        object.__setattr__(self, "angle", self.angle % (2.0 * math.pi))
-
-
 def _i_power_times_bessel(orders: np.ndarray, bessel_by_abs: np.ndarray) -> np.ndarray:
     # i^d * J_d(x) depends only on |d|: i^{-d} J_{-d} = i^d J_d.
     a = np.abs(orders)
@@ -77,43 +42,42 @@ def _i_power_times_bessel(orders: np.ndarray, bessel_by_abs: np.ndarray) -> np.n
     return phases * bessel_by_abs[a]
 
 
-def qkr_kick_matrix(basis: RotorBasis) -> np.ndarray:
-    """Rotor kick operator in the momentum basis: entry (r, s) = i^{r-s} J_{r-s}(beta).
+def qkr_kick_matrix(size: int, beta: float) -> np.ndarray:
+    """Rotor kick operator on ``size`` momentum states: entry (r, s) = i^{r-s} J_{r-s}(beta).
 
     Symmetric Toeplitz; at beta = 0 it is the identity.
     """
-    n = basis.size
-    js = jv(np.arange(n), basis.beta)
-    idx = np.arange(n)
+    js = jv(np.arange(size), beta)
+    idx = np.arange(size)
     d = idx[:, None] - idx[None, :]
     return _i_power_times_bessel(d, js)
 
 
-def ring_kick_matrix(basis: RotorBasis) -> np.ndarray:
+def ring_kick_matrix(size: int, beta: float) -> np.ndarray:
     """Kick operator on a ring of ``size`` momentum states (circulant).
 
     Index differences wrap to the nearest representative in [-N/2, N/2);
     aliased orders beyond that are negligible for beta well below N.
     """
-    n = basis.size
-    js = jv(np.arange(n // 2 + 1), basis.beta)
+    n = size
+    js = jv(np.arange(n // 2 + 1), beta)
     idx = np.arange(n)
     d = idx[:, None] - idx[None, :]
     dw = (d + n // 2) % n - n // 2
     return _i_power_times_bessel(dw, js)
 
 
-def ring_propagator(p: ChainParams) -> np.ndarray:
-    """One-period hopping propagator on the ring, from plane-wave eigenmodes.
+def ring_propagator(n_sites: int, beta: float) -> np.ndarray:
+    """One-period hopping propagator on a ring of ``n_sites``, from plane-wave eigenmodes.
 
     Eigenphases are beta * (1 - cos(2*pi*k/N)); the matrix is circulant.
     Equals exp(-i*beta) times ring_kick_matrix to machine precision.
     """
-    if p.boundary != "ring":
-        raise ValueError("ring_propagator requires boundary='ring'")
-    n = p.n_sites
+    if n_sites < 3:
+        raise ValueError(f"a ring needs n_sites >= 3, got {n_sites!r}")
+    n = n_sites
     theta = 2.0 * np.pi * np.arange(n) / n
-    col = np.fft.ifft(np.exp(-1j * p.beta * (1.0 - np.cos(theta))))
+    col = np.fft.ifft(np.exp(-1j * beta * (1.0 - np.cos(theta))))
     idx = np.arange(n)
     return col[(idx[:, None] - idx[None, :]) % n]
 
@@ -159,12 +123,13 @@ def bessel_interior_mask(n_sites: int, beta: float) -> np.ndarray:
     return (w >= cutoff) & (2 * n_sites - w >= cutoff)
 
 
-def standard_map_step(pt: PhasePoint, kick_strength: float) -> PhasePoint:
-    """One iteration of the standard map: p' = p + K sin(x), x' = x + p'."""
-    if not math.isfinite(kick_strength):
-        raise ValueError("kick_strength must be finite")
-    p_new = pt.momentum + kick_strength * math.sin(pt.angle)
-    return PhasePoint(angle=pt.angle + p_new, momentum=p_new)
+def standard_map(
+    angle: np.ndarray, momentum: np.ndarray, kick_strength: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One iteration of the standard map on arrays: p' = p + K sin(x),
+    x' = (x + p') mod 2*pi."""
+    momentum = momentum + kick_strength * np.sin(angle)
+    return (angle + momentum) % (2.0 * np.pi), momentum
 
 
 def classical_diffusion(
@@ -193,8 +158,7 @@ def classical_diffusion(
     p = np.zeros(ensemble)
     msd = np.zeros(steps + 1)
     for t in range(1, steps + 1):
-        p += kick_strength * np.sin(x)
-        x = (x + p) % (2.0 * np.pi)
+        x, p = standard_map(x, p, kick_strength)
         msd[t] = float(np.mean(p * p))
     t_axis = np.arange(steps + 1, dtype=np.float64)
     slope = float(np.polyfit(t_axis, msd, 1)[0])

@@ -9,8 +9,6 @@ a failure here means a real regression, not noise.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +18,6 @@ import scipy.linalg
 from . import chain, observables
 from .params import ChainParams
 from .qkr import (
-    RotorBasis,
     bessel_interior_mask,
     classical_diffusion,
     frs_quadrature,
@@ -30,8 +27,6 @@ from .qkr import (
     ring_propagator,
 )
 from .state import SpinState, site_state
-
-THREADS_ENV = "KICKEDCHAIN_THREADS"
 
 
 @dataclass(frozen=True)
@@ -133,19 +128,15 @@ def _check_kick_matrix_interior() -> float:
     n, beta = 256, 10.0
     p = ChainParams(n_sites=n, center=n // 2, beta=beta, b_q=0.1)
     u = chain.uhc_matrix(p, 1.0) * np.exp(1j * beta)
-    approx = qkr_kick_matrix(RotorBasis(size=n, hbar=0.1, kick_strength=beta * 0.1))
+    approx = qkr_kick_matrix(n, beta)
     mask = bessel_interior_mask(n, beta)
     return float(np.max(np.abs((u - approx)[mask])))
 
 
 def _check_ring_exactness() -> float:
     n, beta = 256, 10.0
-    p = ChainParams(n_sites=n, center=n // 2, beta=beta, b_q=0.1, boundary="ring")
-    u = ring_propagator(p)
-    exact = np.exp(-1j * beta) * ring_kick_matrix(
-        RotorBasis(size=n, hbar=0.1, kick_strength=beta * 0.1)
-    )
-    return float(np.max(np.abs(u - exact)))
+    exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)
+    return float(np.max(np.abs(ring_propagator(n, beta) - exact)))
 
 
 def _check_classical_diffusion() -> float:
@@ -196,37 +187,10 @@ _CHECKS: tuple[tuple[str, Callable[[], float], float], ...] = (
 )
 
 
-def thread_count() -> int:
-    """Worker count for embarrassingly parallel loops, from the environment.
-
-    Unset, empty, or invalid values fall back to 1 so results never depend
-    on the machine the suite happens to run on.
-    """
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def validate_suite() -> ValidationReport:
-    """Run every cross-check and report deviations against tolerances.
-
-    Check results are ordered as declared regardless of the worker count,
-    so the report is reproducible byte for byte.
-    """
-    workers = thread_count()
-    if workers == 1:
-        results = [fn() for _, fn, _ in _CHECKS]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn) for _, fn, _ in _CHECKS]
-            results = [f.result() for f in futures]
-    checks = tuple(
-        CheckResult(name=name, deviation=float(dev), tolerance=tol)
-        for (name, _, tol), dev in zip(_CHECKS, results)
-    )
-    return ValidationReport(checks=checks)
+    """Run every cross-check in declared order and report deviations
+    against tolerances."""
+    return ValidationReport(checks=tuple(
+        CheckResult(name=name, deviation=float(fn()), tolerance=tol)
+        for name, fn, tol in _CHECKS
+    ))

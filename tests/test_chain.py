@@ -49,18 +49,6 @@ class TestEigenbasis:
         eigvals = np.sort(np.linalg.eigvalsh(h))
         assert np.max(np.abs(eigvals - hop_eigenphases(64, P64.beta))) < 1e-10
 
-    def test_ring_refused(self):
-        ring = ChainParams(n_sites=8, center=4, beta=1.0, b_q=0.1, boundary="ring")
-        with pytest.raises(ValueError):
-            make_context(ring)
-
-    def test_ring_hamiltonian_wraps(self):
-        ring = ChainParams(n_sites=8, center=4, beta=2.0, b_q=0.1, boundary="ring")
-        h = oracle_hamiltonian(ring)
-        assert h[0, 7] == pytest.approx(-1.0)
-        # every ring site touches two bonds
-        assert h[0, 0] == pytest.approx(2.0)
-
 
 class TestPropagator:
     def test_matches_matrix_exponential(self):

@@ -46,3 +46,28 @@ def test_removed_keys_exit_one(item, tmp_path, capsys):
     assert code == 1
     key = item.split("=")[0]
     assert _one_line_error(capsys) == f"config error: unknown configuration key '{key}'\n"
+
+
+def test_accel_outside_the_window_is_a_config_error(tmp_path, capsys):
+    # alpha = 100 * 0.05 / (2*pi) = 0.80: refused before evolving.
+    code = main([
+        "accel", "--set", "n_sites=2701", "--set", "center=1351", "--set", "beta=100",
+        "--set", "b_q=0.05", "--set", "n_periods=12", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: accel needs alpha")
+    assert "[1.03, 1.10]" in err and "0.7958" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_package_error_during_a_run_is_one_line(tmp_path, capsys):
+    # alpha = 1.061 lies in the window, but only 4 pulses detect modes,
+    # which no config-time check can know: the decay fit refuses.
+    code = main([
+        "accel", "--set", "beta=10", "--set", "b_q=0.6666666666666666",
+        "--set", "n_periods=20", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("run error: InsufficientDataError: ")

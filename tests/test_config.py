@@ -22,7 +22,6 @@ class TestDefaults:
         assert cfg.chain.center == 701
         assert cfg.chain.beta == 100.0
         assert cfg.chain.b_q == pytest.approx(1.0 / 15.0)
-        assert cfg.chain.boundary == "open"
         assert cfg.n_periods == 6
         assert cfg.record_every == 1
         assert cfg.format == "csv"

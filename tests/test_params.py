@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kickedchain import ChainParams, SpinState, derived_params, site_state
+from kickedchain import ChainParams, SpinState, derived_params, ring_propagator, site_state
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 
@@ -11,7 +11,7 @@ FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 class TestChainParams:
     def test_valid_construction(self):
         p = ChainParams(n_sites=100, center=50, beta=10.0, b_q=0.1)
-        assert p.boundary == "open"
+        assert (p.n_sites, p.center, p.beta, p.b_q) == (100, 50, 10.0, 0.1)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -28,7 +28,6 @@ class TestChainParams:
             {"beta": math.inf},
             {"b_q": -0.5},
             {"b_q": math.nan},
-            {"boundary": "torus"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -38,8 +37,9 @@ class TestChainParams:
             ChainParams(**base)
 
     def test_ring_needs_three_sites(self):
-        with pytest.raises(ValueError):
-            ChainParams(n_sites=2, center=1, beta=1.0, b_q=0.1, boundary="ring")
+        # The ring is a kicked-rotor reference, not a ChainParams option.
+        with pytest.raises(ValueError, match="n_sites >= 3"):
+            ring_propagator(2, 1.0)
 
 
 class TestDerivedParams:

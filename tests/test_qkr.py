@@ -6,8 +6,6 @@ import scipy.special
 
 from kickedchain import (
     ChainParams,
-    PhasePoint,
-    RotorBasis,
     accelerator_window,
     bessel_interior_mask,
     classical_diffusion,
@@ -16,10 +14,13 @@ from kickedchain import (
     rechester_d,
     ring_kick_matrix,
     ring_propagator,
-    standard_map_step,
+    standard_map,
     uhc_matrix,
 )
 from kickedchain.errors import WeakChaosWarning
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 
 class TestBessel:
@@ -27,27 +28,27 @@ class TestBessel:
     # values that reach them, column 0 of the matrix holding i^d J_d(beta).
     @pytest.mark.parametrize("arg", [0.5, 5.0, 10.0, 100.0, 666.7])
     def test_against_scipy(self, arg):
-        m = qkr_kick_matrix(RotorBasis(size=51, hbar=1.0, kick_strength=arg))
+        m = qkr_kick_matrix(51, arg)
         for order in range(0, 51):
             want = 1j**order * scipy.special.jv(order, arg)
             assert m[order, 0] == pytest.approx(want, abs=1e-9)
 
     def test_negative_order_symmetry(self):
         # i^{-d} J_{-d} = i^d J_d makes the matrix symmetric, not Hermitian.
-        m = qkr_kick_matrix(RotorBasis(size=8, hbar=1.0, kick_strength=7.0))
+        m = qkr_kick_matrix(8, 7.0)
         assert m[0, 3] == pytest.approx(1j**-3 * scipy.special.jv(-3, 7.0), abs=1e-15)
         assert m[0, 4] == pytest.approx(m[4, 0], abs=1e-15)
         assert m[0, 3] == pytest.approx(m[3, 0], abs=1e-15)
 
     def test_zero_argument(self):
-        m = qkr_kick_matrix(RotorBasis(size=4, hbar=1.0, kick_strength=0.0))
+        m = qkr_kick_matrix(4, 0.0)
         assert m[0, 0] == 1.0
         assert m[3, 0] == 0.0
 
     def test_j2_at_five_is_small(self):
         # The K_s = 5 operating point sits at a node of J_2, which enters
         # rechester_d as well as the kick matrix (entry i^2 J_2 = -J_2).
-        m = qkr_kick_matrix(RotorBasis(size=4, hbar=1.0, kick_strength=5.0))
+        m = qkr_kick_matrix(4, 5.0)
         assert -m[2, 0].real == pytest.approx(0.046565116277752, abs=1e-12)
         j2 = 0.046565116277752
         assert rechester_d(5.0) == pytest.approx(12.5 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2), rel=1e-12)
@@ -71,39 +72,45 @@ class TestRechester:
 
 class TestKickMatrix:
     def test_zero_kick_is_identity(self):
-        m = qkr_kick_matrix(RotorBasis(size=16, hbar=0.1, kick_strength=0.0))
+        m = qkr_kick_matrix(16, 0.0)
         assert np.max(np.abs(m - np.eye(16))) < 1e-14
 
     def test_entries_are_bessel(self):
         beta = 7.0
-        m = qkr_kick_matrix(RotorBasis(size=32, hbar=0.5, kick_strength=0.5 * beta))
+        m = qkr_kick_matrix(32, beta)
         for r, s in ((0, 0), (3, 1), (10, 20), (31, 0)):
             want = 1j ** (r - s) * scipy.special.jv(r - s, beta)
             assert m[r, s] == pytest.approx(want, abs=1e-10)
 
     def test_toeplitz(self):
-        m = qkr_kick_matrix(RotorBasis(size=24, hbar=0.2, kick_strength=2.0))
+        m = qkr_kick_matrix(24, 10.0)
         assert np.max(np.abs(m[1:, 1:] - m[:-1, :-1])) < 1e-15
 
     def test_ring_matrix_unitary(self):
         # unitarity holds up to the dropped alias orders, so beta << N
-        m = ring_kick_matrix(RotorBasis(size=64, hbar=0.5, kick_strength=2.5))
+        m = ring_kick_matrix(64, 5.0)
         assert np.max(np.abs(m @ m.conj().T - np.eye(64))) < 1e-12
 
     def test_ring_propagator_is_bessel_exactly(self):
         beta = 5.0
-        p = ChainParams(n_sites=64, center=32, beta=beta, b_q=0.1, boundary="ring")
-        u = ring_propagator(p)
-        exact = np.exp(-1j * beta) * ring_kick_matrix(
-            RotorBasis(size=64, hbar=0.1, kick_strength=0.1 * beta)
-        )
+        u = ring_propagator(64, beta)
+        exact = np.exp(-1j * beta) * ring_kick_matrix(64, beta)
         assert np.max(np.abs(u - exact)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 256), beta=st.floats(0.0, 60.0))
+    def test_ring_propagator_is_bessel_property(self, n, beta):
+        # The circulant drops alias orders |d| >= n/2; keep draws where
+        # they are negligible.
+        assume(abs(scipy.special.jv(n // 2, beta)) < 1e-13)
+        exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)
+        assert np.max(np.abs(ring_propagator(n, beta) - exact)) < 1e-10
 
     def test_open_chain_interior_agreement(self):
         n, beta = 128, 10.0
         p = ChainParams(n_sites=n, center=64, beta=beta, b_q=0.1)
         u = uhc_matrix(p, 1.0) * np.exp(1j * beta)
-        approx = qkr_kick_matrix(RotorBasis(size=n, hbar=0.1, kick_strength=beta * 0.1))
+        approx = qkr_kick_matrix(n, beta)
         mask = bessel_interior_mask(n, beta)
         assert mask.any()
         assert np.max(np.abs((u - approx)[mask])) < 1e-3
@@ -139,28 +146,26 @@ class TestQuadrature:
 
 class TestClassicalMap:
     def test_zero_kick_free_rotation(self):
-        pt = standard_map_step(PhasePoint(angle=1.0, momentum=0.5), 0.0)
-        assert pt.momentum == pytest.approx(0.5)
-        assert pt.angle == pytest.approx(1.5)
+        angle, momentum = standard_map(np.array([1.0, 6.0]), np.array([0.5, 0.5]), 0.0)
+        assert momentum == pytest.approx([0.5, 0.5])
+        assert angle == pytest.approx([1.5, 6.5 - 2.0 * np.pi])
 
     def test_fixed_point(self):
-        pt = standard_map_step(PhasePoint(angle=0.0, momentum=0.0), 3.0)
-        assert pt.angle == 0.0 and pt.momentum == 0.0
+        angle, momentum = standard_map(np.zeros(3), np.zeros(3), 3.0)
+        assert np.all(angle == 0.0) and np.all(momentum == 0.0)
 
     def test_area_preserving(self, rng):
         # Jacobian determinant 1 by central differences at random points.
         k, h = 3.7, 1e-6
-        for _ in range(10):
-            a, m = rng.uniform(0, 2 * np.pi), rng.uniform(-3, 3)
+        a, m = rng.uniform(0, 2 * np.pi, size=10), rng.uniform(-3, 3, size=10)
 
-            def step(angle, momentum):
-                out = standard_map_step(PhasePoint(angle=angle, momentum=momentum), k)
-                return np.array([out.angle, out.momentum])
+        def step(angle, momentum):
+            return np.array(standard_map(angle, momentum, k))
 
-            da = (step(a + h, m) - step(a - h, m)) / (2 * h)
-            dm = (step(a, m + h) - step(a, m - h)) / (2 * h)
-            det = da[0] * dm[1] - da[1] * dm[0]
-            assert det == pytest.approx(1.0, abs=1e-6)
+        da = (step(a + h, m) - step(a - h, m)) / (2 * h)
+        dm = (step(a, m + h) - step(a, m - h)) / (2 * h)
+        det = da[0] * dm[1] - da[1] * dm[0]
+        assert det == pytest.approx(np.ones(10), abs=1e-6)
 
 
 class TestClassicalDiffusion:
@@ -170,6 +175,11 @@ class TestClassicalDiffusion:
         c = classical_diffusion(10.0, ensemble=2000, steps=20, seed=8)
         assert a == b
         assert a != c
+
+    def test_pinned_value_at_k5(self):
+        # Pinned to the last digit: a change in the float operation order of
+        # the map or the fit moves it, which criterion 5's 10% band cannot see.
+        assert classical_diffusion(5.0, ensemble=10_000, steps=50, seed=0) == 12.664448857619409
 
     def test_matches_rechester_at_k10(self):
         slope = classical_diffusion(10.0, ensemble=10_000, steps=50, seed=0)

@@ -1,14 +1,7 @@
 import numpy as np
-import pytest
 
 import kickedchain.chain
-from kickedchain.validation import (
-    THREADS_ENV,
-    ValidationReport,
-    CheckResult,
-    thread_count,
-    validate_suite,
-)
+from kickedchain.validation import ValidationReport, CheckResult, validate_suite
 
 
 class TestSuite:
@@ -26,14 +19,6 @@ class TestSuite:
             assert set(check) == {"name", "deviation", "tolerance", "passed"}
             assert isinstance(check["deviation"], float)
 
-    def test_thread_pool_gives_identical_results(self, monkeypatch):
-        baseline = validate_suite()
-        monkeypatch.setenv(THREADS_ENV, "4")
-        threaded = validate_suite()
-        assert [c.deviation for c in threaded.checks] == [
-            c.deviation for c in baseline.checks
-        ]
-
     def test_mutation_breaks_engine_equivalence(self, monkeypatch):
         # A sign error injected into the transform route only: the dense
         # route is untouched, so exactly the cross-engine check must trip.
@@ -48,17 +33,6 @@ class TestSuite:
         assert "engine_equivalence" in report.failures
         by_name = {c.name: c for c in report.checks}
         assert by_name["propagator_vs_matrix_exponential"].passed
-
-
-class TestThreadCount:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert thread_count() == 1
-
-    @pytest.mark.parametrize("raw,want", [("", 1), ("junk", 1), ("3", 3), ("0", 1), ("-2", 1)])
-    def test_parsing(self, monkeypatch, raw, want):
-        monkeypatch.setenv(THREADS_ENV, raw)
-        assert thread_count() == want
 
 
 class TestReportTypes:
