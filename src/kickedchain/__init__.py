@@ -42,7 +42,7 @@ from .errors import (
     PacketsOutOfRangeError,
     QuadratureConvergenceError,
 )
-from .experiments import RunManifest, run_experiment, trackable_pulses
+from .experiments import RunManifest, run_experiment
 from .observables import (
     ConcurrenceMax,
     DiffusionFit,
@@ -50,7 +50,6 @@ from .observables import (
     LocalizationFit,
     ModeDecayFit,
     ModeReport,
-    SiteDistribution,
     concurrence,
     concurrence_profile_max,
     detect_accelerator_modes,
@@ -59,10 +58,11 @@ from .observables import (
     ipr,
     max_concurrence,
     mode_decay,
+    packet_centers,
     q_measure,
     remnant_halfwidth,
-    site_distribution,
     spread_variance,
+    trackable_pulses,
 )
 from .params import ChainParams, DerivedParams, derived_params
 from .protocol import (
@@ -71,7 +71,6 @@ from .protocol import (
     central_measurement,
     ideal_packet_pair,
     measurement_window,
-    packet_centers,
     run_protocol,
 )
 from .qkr import (

@@ -51,7 +51,7 @@ def _cosine_modes(n_sites: int) -> np.ndarray:
     return g
 
 
-def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def oracle_hamiltonian(p: ChainParams) -> np.ndarray:
     """Independent dense Hamiltonian for cross-checking the cosine modes.
 
     Built directly from the exchange coupling in the single-excitation
@@ -62,9 +62,9 @@ def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray
     beta * (1 - cos(pi*(m-1)/N)).
     """
     n = p.n_sites
-    if n > dense_cap:
+    if n > DENSE_CAP:
         raise CapacityError(
-            f"oracle_hamiltonian is dense-only: n_sites={n} exceeds cap {dense_cap}"
+            f"oracle_hamiltonian is dense-only: n_sites={n} exceeds cap {DENSE_CAP}"
         )
     half = 0.5 * p.beta
     h = np.zeros((n, n), dtype=np.float64)
@@ -78,16 +78,16 @@ def oracle_hamiltonian(p: ChainParams, dense_cap: int = DENSE_CAP) -> np.ndarray
     return h
 
 
-def uhc_matrix(p: ChainParams, periods: float, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def uhc_matrix(p: ChainParams, periods: float) -> np.ndarray:
     """Dense hopping propagator over ``periods`` driving periods (test oracle).
 
     Entry (r, s) = sum_m a_m^2 exp(-i*phi_m*periods) cos-mode_m(r) cos-mode_m(s).
-    Sizes above ``dense_cap`` raise CapacityError; ``evolve`` has no such
+    Sizes above DENSE_CAP raise CapacityError; ``evolve`` has no such
     limit.
     """
-    if p.n_sites > dense_cap:
+    if p.n_sites > DENSE_CAP:
         raise CapacityError(
-            f"dense propagator for n_sites={p.n_sites} exceeds cap {dense_cap}; "
+            f"dense propagator for n_sites={p.n_sites} exceeds cap {DENSE_CAP}; "
             "evolve has no such limit"
         )
     g = _cosine_modes(p.n_sites)
@@ -168,13 +168,13 @@ def evolve(
     ctx: EvolutionContext,
     n_periods: int,
     record_every: int = 1,
-    max_snapshot_values: int = MAX_SNAPSHOT_VALUES,
 ) -> Trajectory:
     """Drive ``initial`` for ``n_periods`` periods, recording snapshots.
 
     Snapshots are stored at period 0, at every multiple of ``record_every``,
-    and at the final period.  Each period is one cosine-transform hop and
-    one kick on the raw amplitude array; only recorded snapshots become
+    and at the final period, at most MAX_SNAPSHOT_VALUES amplitudes in all
+    (MemoryBudgetError otherwise).  Each period is one cosine-transform hop
+    and one kick on the raw amplitude array; only recorded snapshots become
     SpinState values.
     """
     p = ctx.params
@@ -185,11 +185,10 @@ def evolve(
         raise ValueError("record_every must be >= 1")
 
     n_snapshots = 1 + n_periods // record_every + (1 if n_periods % record_every else 0)
-    if n_snapshots * p.n_sites > max_snapshot_values:
+    if n_snapshots * p.n_sites > MAX_SNAPSHOT_VALUES:
         raise MemoryBudgetError(
             f"{n_snapshots} snapshots x {p.n_sites} sites exceeds the budget of "
-            f"{max_snapshot_values} stored amplitudes; raise max_snapshot_values "
-            "or increase record_every"
+            f"{MAX_SNAPSHOT_VALUES} stored amplitudes; increase record_every"
         )
 
     hop, kick = ctx.hop_factors, ctx.kick_factors

@@ -41,10 +41,6 @@ class WeakChaosWarning(UserWarning):
     """Kick strength is below the regime where the diffusion estimate is reliable."""
 
 
-class BreakTimeWindowWarning(UserWarning):
-    """A diffusion fit window extends past the quantum break time."""
-
-
 class PoorFitWarning(UserWarning):
     """A least-squares fit explains little of the variance in its input."""
 

@@ -1,11 +1,14 @@
 """Experiment orchestration: run one configured experiment, write artifacts.
 
-Every experiment produces flat files in the configured output directory
-plus a ``manifest.json`` echoing the configuration, the derived
-parameters, and a SHA-256 digest of each data file.  Data bytes are a
-pure function of (config, package version): numbers are formatted
-with locale-independent printf codes, JSON keys are sorted, and files
-are written atomically (temp file then rename).
+This module only renders and writes.  Evolution comes from ``chain``,
+every measurement and all packet geometry from ``observables``, the
+heralded pair from ``protocol``.  Every experiment produces flat files in
+the configured output directory plus a ``manifest.json`` echoing the
+configuration, the derived parameters, and a SHA-256 digest of each data
+file.  Data bytes are a pure function of (config, package version):
+tables are rendered from numpy columns with one locale-independent printf
+code per column, JSON keys are sorted, and files are written atomically
+(temp file then rename).
 """
 
 from __future__ import annotations
@@ -24,19 +27,19 @@ from .chain import evolve, make_context
 from .config import ExperimentConfig, config_values
 from .errors import ConfigError, NotLocalizedError, PacketsOutOfRangeError
 from .observables import (
-    CORRIDOR_FRACTION,
     ModeReport,
     detect_accelerator_modes,
     fit_localization_length,
     ipr,
     max_concurrence,
     mode_decay,
+    packet_centers,
     q_measure,
-    site_distribution,
     spread_variance,
+    trackable_pulses,
 )
 from .params import ChainParams, derived_params
-from .protocol import packet_centers, run_protocol
+from .protocol import run_protocol
 from .qkr import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, accelerator_window, rechester_d
 from .state import site_state
 from .validation import validate_suite
@@ -59,17 +62,15 @@ class RunManifest:
     files: dict
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
-
-
 def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
-    """Render a column table as CSV text or as a JSON columns/rows object."""
+    """Render a column table as CSV text or as a JSON columns/rows object.
+
+    CSV writes each column with one code, %d for integers and %.12g for
+    floats, chosen from the first row.
+    """
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
+        return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     payload = {"columns": list(header), "rows": [list(row) for row in rows]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -78,40 +79,12 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _table_name(stem: str, fmt: str) -> str:
-    return f"{stem}.csv" if fmt == "csv" else f"{stem}.json"
-
-
 def _mode_report_dict(report: ModeReport) -> dict:
     return {
         "pulse": report.pulse_index,
         "remnant_weight": report.remnant_weight,
-        "modes": [
-            {
-                "position": m.position,
-                "amplitude": m.amplitude,
-                "width_parameter": m.width_parameter,
-                "weight": m.weight,
-            }
-            for m in report.modes
-        ],
+        "modes": [asdict(m) for m in report.modes],
     }
-
-
-def trackable_pulses(p: ChainParams) -> int:
-    """Last pulse whose ballistic packets still fit on the chain.
-
-    A packet at pulse j sits 2*pi*j/b_q sites out; past the point where
-    that position plus the corridor slack and a 3-sigma packet margin
-    reaches a chain end, detection would confuse boundary pile-up with
-    transport, so reports stop there.
-    """
-    if p.b_q <= 0.0:
-        return 0
-    advance = 2.0 * math.pi / p.b_q
-    margin = CORRIDOR_FRACTION * advance + 3.0 / math.sqrt(p.b_q)
-    half_extent = min(p.center - 1, p.n_sites - p.center)
-    return max(0, int((half_extent - margin) / advance))
 
 
 def _trajectory(cfg: ExperimentConfig):
@@ -120,19 +93,18 @@ def _trajectory(cfg: ExperimentConfig):
     return evolve(start, ctx, cfg.n_periods, record_every=cfg.record_every)
 
 
-def _distribution_rows(traj) -> list[tuple]:
-    rows: list[tuple] = []
-    for period, state in traj:
-        probs = site_distribution(state).probabilities
-        for site0, prob in enumerate(probs):
-            rows.append((period, site0 + 1, float(prob)))
-    return rows
+def _distribution(cfg: ExperimentConfig, traj) -> dict:
+    probs = np.abs(np.stack([state.amplitudes for state in traj.states])) ** 2
+    n_snapshots, n_sites = probs.shape
+    periods = np.repeat(np.asarray(traj.periods), n_sites)
+    sites = np.tile(np.arange(1, n_sites + 1), n_snapshots)
+    rows = list(zip(periods.tolist(), sites.tolist(), probs.ravel().tolist()))
+    header = ("period", "site", "probability")
+    return {f"distribution.{cfg.format}": _table(header, rows, cfg.format)}
 
 
 def _run_evolve(cfg: ExperimentConfig) -> dict:
-    traj = _trajectory(cfg)
-    name = _table_name("distribution", cfg.format)
-    return {name: _table(("period", "site", "probability"), _distribution_rows(traj), cfg.format)}
+    return _distribution(cfg, _trajectory(cfg))
 
 
 def _mode_reports(cfg: ExperimentConfig, traj) -> list[ModeReport]:
@@ -147,9 +119,8 @@ def _mode_reports(cfg: ExperimentConfig, traj) -> list[ModeReport]:
 def _run_fig1(cfg: ExperimentConfig) -> dict:
     traj = _trajectory(cfg)
     reports = _mode_reports(cfg, traj)
-    name = _table_name("distribution", cfg.format)
     return {
-        name: _table(("period", "site", "probability"), _distribution_rows(traj), cfg.format),
+        **_distribution(cfg, traj),
         "modes.json": _json_text({"reports": [_mode_report_dict(r) for r in reports]}),
     }
 
@@ -160,23 +131,20 @@ def _run_diffusion(cfg: ExperimentConfig) -> dict:
     k_s = derived_params(p).k_s
     d_classical = rechester_d(k_s) if k_s > 0.0 else 0.0
     rows = [
-        (period, spread_variance(site_distribution(state), p.center, p.b_q), d_classical * period)
+        (period, spread_variance(state, p.center, p.b_q), d_classical * period)
         for period, state in traj
     ]
-    name = _table_name("variance", cfg.format)
-    return {name: _table(("period", "variance", "classical_prediction"), rows, cfg.format)}
+    header = ("period", "variance", "classical_prediction")
+    return {f"variance.{cfg.format}": _table(header, rows, cfg.format)}
 
 
 def _run_localization(cfg: ExperimentConfig) -> dict:
     traj = _trajectory(cfg)
     p = cfg.chain
-    dist = site_distribution(traj.final)
-    rows = [
-        (site0 + 1, float(np.log(max(prob, LOG_FLOOR))))
-        for site0, prob in enumerate(dist.probabilities)
-    ]
+    probs = np.abs(traj.final.amplitudes) ** 2
+    rows = list(zip(range(1, probs.size + 1), np.log(np.maximum(probs, LOG_FLOOR)).tolist()))
     try:
-        fit = fit_localization_length(dist, p.center)
+        fit = fit_localization_length(traj.final, p.center)
         fit_payload = {
             "localized": True,
             "length": fit.length,
@@ -187,9 +155,8 @@ def _run_localization(cfg: ExperimentConfig) -> dict:
         }
     except NotLocalizedError as exc:
         fit_payload = {"localized": False, "detail": str(exc)}
-    name = _table_name("profile", cfg.format)
     return {
-        name: _table(("site", "log_probability"), rows, cfg.format),
+        f"profile.{cfg.format}": _table(("site", "log_probability"), rows, cfg.format),
         "fit.json": _json_text(fit_payload),
     }
 
@@ -200,8 +167,8 @@ def _run_entanglement(cfg: ExperimentConfig) -> dict:
         (period, q_measure(state), ipr(state), max_concurrence(state))
         for period, state in traj
     ]
-    name = _table_name("measures", cfg.format)
-    return {name: _table(("period", "q_measure", "ipr", "max_concurrence"), rows, cfg.format)}
+    header = ("period", "q_measure", "ipr", "max_concurrence")
+    return {f"measures.{cfg.format}": _table(header, rows, cfg.format)}
 
 
 def _run_accel(cfg: ExperimentConfig) -> dict:

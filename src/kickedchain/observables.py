@@ -1,6 +1,10 @@
 """Measurements on evolved states: spreading, localization, entanglement,
 and detection of the ballistic accelerator-mode wavepackets.
 
+Every measurement takes a ``SpinState`` and reads ``|a|^2`` itself.  This
+module owns the packet geometry: the advance of 2*pi/b_q sites per period,
+the corridor, the packet margin, ``packet_centers``, ``trackable_pulses``.
+
 Site coordinates here are 1-based, matching the chain convention; fitted
 peak positions are real-valued in the same coordinate.
 """
@@ -15,9 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BreakTimeWindowWarning,
     InsufficientDataError,
     NotLocalizedError,
+    PacketsOutOfRangeError,
     PoorFitWarning,
 )
 from .params import ChainParams
@@ -32,7 +36,11 @@ MIN_DECAY_ORDERS = 4.0
 RESIDUAL_TOL = 3.0
 
 MODE_WEIGHT_THRESHOLD = 0.02
-# A packet peak stands well above the median of its own +-3 width window
+# A packet reaches PACKET_MARGIN_WIDTHS widths either side of its center:
+# its weight is summed over that span, two packets closer than that overlap,
+# and a packet needs that much clearance from a chain end.
+PACKET_MARGIN_WIDTHS = 3.0
+# A packet peak stands well above the median over that span
 # (x90 for an isolated Gaussian, x8 or more on the chaotic pedestal);
 # interference ripples stay within about x2 of theirs.
 MODE_PROMINENCE = 3.0
@@ -46,39 +54,13 @@ OSC_MIN_FLIPS = 0.4
 CORRIDOR_FRACTION = 0.25
 
 
-@dataclass(frozen=True, eq=False)
-class SiteDistribution:
-    """Probability of finding the excitation on each site (sums to one)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.probabilities, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("probabilities must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
-
-    @property
-    def n_sites(self) -> int:
-        return self.probabilities.size
-
-
-def site_distribution(state: SpinState) -> SiteDistribution:
-    return SiteDistribution(np.abs(state.amplitudes) ** 2)
-
-
-def spread_variance(dist: SiteDistribution, s0: int, b_q: float) -> float:
+def spread_variance(state: SpinState, s0: int, b_q: float) -> float:
     """Rotor-momentum variance b_q^2 * sum_s P(s) (s - s0)^2 about site s0."""
-    if not 1 <= s0 <= dist.n_sites:
-        raise ValueError(f"s0 must lie in [1, {dist.n_sites}], got {s0}")
-    offsets = np.arange(1, dist.n_sites + 1, dtype=np.float64) - s0
-    return float(b_q * b_q * np.sum(dist.probabilities * offsets * offsets))
+    if not 1 <= s0 <= state.n_sites:
+        raise ValueError(f"s0 must lie in [1, {state.n_sites}], got {s0}")
+    probs = np.abs(state.amplitudes) ** 2
+    offsets = np.arange(1, state.n_sites + 1, dtype=np.float64) - s0
+    return float(b_q * b_q * np.sum(probs * offsets * offsets))
 
 
 @dataclass(frozen=True)
@@ -88,17 +70,11 @@ class DiffusionFit:
     r_squared: float
 
 
-def fit_diffusion(
-    series: Sequence[tuple[int, float]],
-    window: tuple[int, int],
-    break_time: float | None = None,
-) -> DiffusionFit:
+def fit_diffusion(series: Sequence[tuple[int, float]], window: tuple[int, int]) -> DiffusionFit:
     """Least-squares slope of a variance-versus-period series inside ``window``.
 
     ``series`` holds (period, variance) pairs; ``window`` is an inclusive
-    period range.  If ``break_time`` is given and the window runs past half
-    of it, a BreakTimeWindowWarning is emitted (the straight-line model
-    stops being meaningful as the spreading saturates).
+    period range.
     """
     lo, hi = window
     if lo > hi:
@@ -107,12 +83,6 @@ def fit_diffusion(
     if len(pts) < 3:
         raise InsufficientDataError(
             f"diffusion fit needs >= 3 points inside {window}, found {len(pts)}"
-        )
-    if break_time is not None and hi > 0.5 * break_time:
-        warnings.warn(
-            f"fit window ends at {hi} periods, past half the break time {break_time:g}",
-            BreakTimeWindowWarning,
-            stacklevel=2,
         )
     t = np.array([q[0] for q in pts], dtype=np.float64)
     v = np.array([q[1] for q in pts], dtype=np.float64)
@@ -140,7 +110,7 @@ class LocalizationFit:
     window: tuple[int, int]
 
 
-def fit_localization_length(dist: SiteDistribution, s0: int) -> LocalizationFit:
+def fit_localization_length(state: SpinState, s0: int) -> LocalizationFit:
     """Localization length from the exponential envelope P(s) ~ e^{-2|s-s0|/L}.
 
     Log-linear regression of ln P against |s - s0| over both tails; the
@@ -150,10 +120,10 @@ def fit_localization_length(dist: SiteDistribution, s0: int) -> LocalizationFit:
     MIN_DECAY_ORDERS decades, the slope is not negative, or the residual
     scatter exceeds RESIDUAL_TOL.
     """
-    n = dist.n_sites
+    n = state.n_sites
     if not 1 <= s0 <= n:
         raise ValueError(f"s0 must lie in [1, {n}], got {s0}")
-    probs = dist.probabilities
+    probs = np.abs(state.amplitudes) ** 2
     peak = float(probs.max())
     if peak <= 0.0:
         raise NotLocalizedError("distribution has no probability mass")
@@ -257,6 +227,50 @@ def max_concurrence(state: SpinState) -> float:
     return float(4.0 * top[0] * top[1])
 
 
+def _advance(p: ChainParams) -> float:
+    # Sites a transporting packet moves per period.
+    return 2.0 * math.pi / p.b_q
+
+
+def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:
+    """Ballistic packet centers center -+ 2*pi*j/b_q after ``pulse_index`` pulses.
+
+    Raises ValueError for pulse_index < 1 or b_q = 0, and
+    PacketsOutOfRangeError when a center sits closer than
+    PACKET_MARGIN_WIDTHS / sqrt(b_q) to a chain end.
+    """
+    if pulse_index < 1:
+        raise ValueError("pulse_index must be >= 1")
+    if p.b_q <= 0.0:
+        raise ValueError("packet geometry needs b_q > 0")
+    hop = _advance(p)
+    s_right = p.center + hop * pulse_index
+    s_left = p.center - hop * pulse_index
+    margin = PACKET_MARGIN_WIDTHS / math.sqrt(p.b_q)
+    if s_right + margin > p.n_sites or s_left - margin < 1:
+        raise PacketsOutOfRangeError(
+            f"packet centers {s_left:.1f}, {s_right:.1f} need {margin:.1f} sites of "
+            f"clearance inside [1, {p.n_sites}]"
+        )
+    return s_left, s_right
+
+
+def trackable_pulses(p: ChainParams) -> int:
+    """Last pulse whose ballistic packets still fit on the chain.
+
+    A packet at pulse j sits 2*pi*j/b_q sites out; past the point where
+    that position plus the corridor slack and the packet margin reaches a
+    chain end, detection would confuse boundary pile-up with transport, so
+    reports stop there.
+    """
+    if p.b_q <= 0.0:
+        return 0
+    advance = _advance(p)
+    margin = CORRIDOR_FRACTION * advance + PACKET_MARGIN_WIDTHS / math.sqrt(p.b_q)
+    half_extent = min(p.center - 1, p.n_sites - p.center)
+    return max(0, int((half_extent - margin) / advance))
+
+
 def remnant_halfwidth(pulse_index: int, p: ChainParams) -> float:
     """Half-width pi * j / b_q of the central remnant region at pulse j
     (half the expected accelerator-mode displacement)."""
@@ -327,8 +341,8 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     b_fit = -0.5 * c2
     width = 1.0 / math.sqrt(b_fit)
     peak_log = c0 - c1 * c1 / (4.0 * c2)
-    span_lo = max(0, int(math.ceil(center - 3.0 * width)))
-    span_hi = min(n - 1, int(math.floor(center + 3.0 * width)))
+    span_lo = max(0, int(math.ceil(center - PACKET_MARGIN_WIDTHS * width)))
+    span_hi = min(n - 1, int(math.floor(center + PACKET_MARGIN_WIDTHS * width)))
     backdrop = float(np.median(probs[span_lo:span_hi + 1]))
     if backdrop > 0.0 and p_peak < MODE_PROMINENCE * backdrop:
         return None  # ripple riding on a pedestal, not a freestanding packet
@@ -341,20 +355,15 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     )
 
 
-def detect_accelerator_modes(
-    state: SpinState,
-    pulse_index: int,
-    p: ChainParams,
-    weight_threshold: float = MODE_WEIGHT_THRESHOLD,
-) -> ModeReport:
+def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams) -> ModeReport:
     """Locate ballistic wavepackets outside the central remnant at pulse j.
 
     Scans each side beyond the remnant half-width for local maxima, fits a
     Gaussian to each candidate (largest first), sums the probability within
-    +-3 fitted widths, and keeps non-overlapping peaks whose weight exceeds
-    ``weight_threshold`` and that sit within the ballistic corridor around
-    the expected centers, center +- 2*pi*j/b_q.  Finding no such peak is a
-    normal outcome, not an error.
+    +-PACKET_MARGIN_WIDTHS fitted widths, and keeps non-overlapping peaks
+    whose weight exceeds MODE_WEIGHT_THRESHOLD and that sit within the
+    ballistic corridor around the expected centers, center +- 2*pi*j/b_q.
+    Finding no such peak is a normal outcome, not an error.
     """
     if state.n_sites != p.n_sites:
         raise ValueError(f"state has {state.n_sites} sites but params have {p.n_sites}")
@@ -363,7 +372,7 @@ def detect_accelerator_modes(
     n = p.n_sites
     center0 = p.center - 1  # 0-based
     offsets = np.arange(n, dtype=np.float64) - center0
-    advance = 2.0 * math.pi / p.b_q
+    advance = _advance(p)
     corridor = CORRIDOR_FRACTION * advance
 
     accepted: list[GaussianMode] = []
@@ -379,11 +388,11 @@ def detect_accelerator_modes(
             if probs[i_peak] <= 0.0:
                 continue
             mode = _fit_gaussian_peak(probs, int(i_peak))
-            if mode is None or mode.weight <= weight_threshold:
+            if mode is None or mode.weight <= MODE_WEIGHT_THRESHOLD:
                 continue
             if abs(abs(mode.position - p.center) - advance * pulse_index) > corridor:
                 continue
-            if any(abs(mode.position - m.position) <= 3.0 * (mode.width + m.width)
+            if any(abs(mode.position - m.position) <= PACKET_MARGIN_WIDTHS * (mode.width + m.width)
                    for m in accepted):
                 continue
             accepted.append(mode)

@@ -4,7 +4,9 @@ After j driving periods the state is a chaotic central remnant plus a pair
 of counter-propagating accelerator-mode packets.  Projectively measuring
 the central region and finding the excitation absent (probability roughly
 the weight carried by the packets) leaves a renormalized state close to an
-equal superposition of two Gaussians at center +- 2*pi*j/b_q.
+equal superposition of two Gaussians at center +- 2*pi*j/b_q.  The packet
+geometry (centers, margins, detection) comes from ``observables``; this
+module measures and grades.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import evolve, make_context
-from .errors import EmptyBranchWarning, PacketsOutOfRangeError
-from .observables import detect_accelerator_modes, remnant_halfwidth
+from .errors import EmptyBranchWarning
+from .observables import (
+    PACKET_MARGIN_WIDTHS,
+    detect_accelerator_modes,
+    packet_centers,
+    remnant_halfwidth,
+)
 from .params import ChainParams
 from .state import SpinState, site_state
 
@@ -77,29 +84,6 @@ def central_measurement(
     return _branch(True, outside), _branch(False, inside)
 
 
-def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:
-    """Ballistic packet centers center -+ 2*pi*j/b_q after ``pulse_index`` pulses.
-
-    Raises ValueError for pulse_index < 1 or b_q = 0, and
-    PacketsOutOfRangeError when a center sits closer than 3/sqrt(b_q) to
-    a chain end.
-    """
-    if pulse_index < 1:
-        raise ValueError("pulse_index must be >= 1")
-    if p.b_q <= 0.0:
-        raise ValueError("packet geometry needs b_q > 0")
-    hop = 2.0 * math.pi / p.b_q
-    s_right = p.center + hop * pulse_index
-    s_left = p.center - hop * pulse_index
-    margin = 3.0 / math.sqrt(p.b_q)
-    if s_right + margin > p.n_sites or s_left - margin < 1:
-        raise PacketsOutOfRangeError(
-            f"packet centers {s_left:.1f}, {s_right:.1f} need {margin:.1f} sites of "
-            f"clearance inside [1, {p.n_sites}]"
-        )
-    return s_left, s_right
-
-
 def _gaussian(p: ChainParams, center: float) -> np.ndarray:
     # The accelerator-mode amplitude profile e^{-b_q (s - center)^2}, unnormalized.
     sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
@@ -127,8 +111,8 @@ def _packet(p: ChainParams, center: float) -> np.ndarray:
 def measurement_window(p: ChainParams, state: SpinState, pulse_index: int) -> tuple[int, int]:
     """Central region to measure: everything short of the traveling packets.
 
-    The window runs from the chain center out to 3 fitted widths inside the
-    packets located by detect_accelerator_modes, so the excitation-absent
+    The window runs from the chain center out to PACKET_MARGIN_WIDTHS fitted
+    widths inside the packets located by detect_accelerator_modes, so the excitation-absent
     branch keeps the packets and nothing else.  A fixed boundary at
     pi * j / b_q (half the expected packet displacement) would strand the
     slower diffusive tail of the remnant outside the measured region and
@@ -138,7 +122,7 @@ def measurement_window(p: ChainParams, state: SpinState, pulse_index: int) -> tu
     report = detect_accelerator_modes(state, pulse_index, p)
     b = 0.0
     if report.modes:
-        b = min(abs(m.position - p.center) - 3.0 * m.width for m in report.modes)
+        b = min(abs(m.position - p.center) - PACKET_MARGIN_WIDTHS * m.width for m in report.modes)
     if b <= 1.0:
         b = remnant_halfwidth(pulse_index, p)
     lo = max(1, int(math.ceil(p.center - b)))

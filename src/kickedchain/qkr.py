@@ -31,6 +31,8 @@ from .params import ChainParams
 # (inclusive); outside it the kicked dynamics has no ballistic island pair.
 ACCEL_ALPHA_MIN = 1.03
 ACCEL_ALPHA_MAX = 1.10
+# Trapezoid intervals of frs_quadrature; its refinement check reruns at half.
+QUADRATURE_PANELS = 2**14
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -82,7 +84,7 @@ def ring_propagator(n_sites: int, beta: float) -> np.ndarray:
     return col[(idx[:, None] - idx[None, :]) % n]
 
 
-def frs_quadrature(r: int, s: int, p: ChainParams, panels: int = 2**14) -> complex:
+def frs_quadrature(r: int, s: int, p: ChainParams) -> complex:
     """Continuum (large-N) hopping matrix element between sites r and s.
 
     Evaluates (1/pi) * e^{-i beta} * int_0^pi [cos((r+s-1)x) + cos((r-s)x)]
@@ -90,8 +92,6 @@ def frs_quadrature(r: int, s: int, p: ChainParams, panels: int = 2**14) -> compl
     the identity at beta = 0.  Raises QuadratureConvergenceError if halving
     the resolution shifts the result by more than 1e-9.
     """
-    if panels < 8 or panels % 2:
-        raise ValueError("panels must be an even integer >= 8")
     if not (1 <= r <= p.n_sites and 1 <= s <= p.n_sites):
         raise ValueError(f"site indices must lie in [1, {p.n_sites}]")
 
@@ -100,11 +100,11 @@ def frs_quadrature(r: int, s: int, p: ChainParams, panels: int = 2**14) -> compl
         f = (np.cos((r + s - 1) * x) + np.cos((r - s) * x)) * np.exp(1j * p.beta * np.cos(x))
         return complex(np.trapezoid(f, dx=np.pi / m) / np.pi)
 
-    fine = integrate(panels)
-    coarse = integrate(panels // 2)
+    fine = integrate(QUADRATURE_PANELS)
+    coarse = integrate(QUADRATURE_PANELS // 2)
     if abs(fine - coarse) > 1e-9:
         raise QuadratureConvergenceError(
-            f"quadrature not converged at {panels} panels "
+            f"quadrature not converged at {QUADRATURE_PANELS} intervals "
             f"(refinement shift {abs(fine - coarse):.3e})"
         )
     return complex(np.exp(-1j * p.beta)) * fine

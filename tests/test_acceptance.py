@@ -44,7 +44,6 @@ from kickedchain import (
     ring_propagator,
     run_experiment,
     run_protocol,
-    site_distribution,
     site_state,
     spread_variance,
     uhc_matrix,
@@ -152,7 +151,7 @@ def test_criterion_05_short_time_diffusion():
 
     traj = evolve(site_state(1401, 701), make_context(p), 10)
     series = [
-        (period, spread_variance(site_distribution(state), 701, p.b_q))
+        (period, spread_variance(state, 701, p.b_q))
         for period, state in traj
     ]
     quantum_slope = fit_diffusion(series, (0, 10)).slope
@@ -182,7 +181,7 @@ def test_criterion_06_dynamical_localization():
     t0 = time.perf_counter()
     p = ChainParams(n_sites=1401, center=701, beta=20.0, b_q=0.5)
     traj = evolve(site_state(1401, 701), make_context(p), 1200, record_every=1200)
-    fit = fit_localization_length(site_distribution(traj.final), 701)
+    fit = fit_localization_length(traj.final, 701)
     elapsed = time.perf_counter() - t0
     report(
         6,

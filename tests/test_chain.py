@@ -125,7 +125,7 @@ class TestEvolution:
     def test_snapshot_budget(self):
         ctx = make_context(P64)
         with pytest.raises(MemoryBudgetError):
-            evolve(site_state(64, 32), ctx, 10, max_snapshot_values=100)
+            evolve(site_state(64, 32), ctx, 400_000)
 
     def test_rejects_size_mismatch(self):
         ctx = make_context(P64)

@@ -1,5 +1,6 @@
-"""Exit-code contract of ``kickedchain``: invalid input ends in exit 1 and
-one line on stderr, never a traceback."""
+"""Exit-code contract of ``kickedchain``: invalid input ends in exit 1, a
+run past the snapshot memory budget in exit 2, each with one line on
+stderr, never a traceback."""
 
 import pytest
 
@@ -46,6 +47,17 @@ def test_removed_keys_exit_one(item, tmp_path, capsys):
     assert code == 1
     key = item.split("=")[0]
     assert _one_line_error(capsys) == f"config error: unknown configuration key '{key}'\n"
+
+
+def test_snapshot_budget_exits_two(tmp_path, capsys):
+    # 400001 snapshots x 1401 sites passes the 2e7-amplitude budget:
+    # refused before evolving.
+    code = main(["evolve", "--set", "n_periods=400000", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("capacity error: ")
+    assert err.endswith("increase record_every\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_accel_outside_the_window_is_a_config_error(tmp_path, capsys):
