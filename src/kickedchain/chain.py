@@ -7,16 +7,29 @@ followed by an instantaneous parabolic phase kick:
     hop  : eigenmode m picks up exp(-i * phi_m),  phi_m = beta * (1 - cos(pi*(m-1)/N)),
     kick : site r picks up exp(-i * (b_q/2) * (r - center)**2).
 
-The open-chain hopping eigenmodes are the orthonormal cosine modes
+The open chain is the half-sample-symmetric 2N ring: mirroring the N
+sites (x_1..x_N, x_N..x_1, periodically) turns the open-chain hop into the
+ring's, whose propagator is a convolution with the kicked-rotor taps
 
-    G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)),   a_m = sqrt((2 - delta_{m,1})/N),
+    c_d = exp(-i*beta) * i**d * J_d(beta).
 
-i.e. exactly the orthonormal type-II discrete cosine transform, so the
-hop is a DCT-II, a phase multiply and a DCT-III.  That is the one
-evolution path, and the chain is always open: the ring that matches the
-kicked rotor exactly is ``qkr.ring_propagator``.  The dense matrices built
-here (``uhc_matrix``, ``oracle_hamiltonian``) are size-capped test oracles
-only.  Snapshots are always taken immediately after the kick.
+So the hop is a banded ring-kernel convolution: mirror-pad the state by
+P sites on each side, convolve it with the taps |d| <= P by one FFT pair of
+length next_fast_len(N + 2P), and keep the N central outputs.  The band is
+W = ceil(beta + 10*beta**(1/3) + 30); the taps beyond it sum to below
+1e-16 for beta <= 2e4 (5e-15 at beta = 1e7), under the rounding of the
+phases beta*(1 - cos k) themselves.  For W < N, P = W.  For W >= N the
+taps are folded onto the 2N ring (its 2N distinct offsets, exact with no
+truncation) and P = N, so memory grows with N and never with beta.  The
+taps come from an inverse FFT of the ring eigenphases, never from Bessel
+functions.
+
+The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
+orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
+built from them here (``uhc_matrix``, ``oracle_hamiltonian``), are
+size-capped test oracles only.  The chain is always open: the ring that
+matches the kicked rotor exactly is ``qkr.ring_propagator``.  Snapshots
+are always taken immediately after the kick.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import CapacityError, DimensionMismatchError, MemoryBudgetError
 from .params import ChainParams
@@ -40,12 +53,14 @@ def hop_eigenphases(n_sites: int, beta: float) -> np.ndarray:
     return beta * (1.0 - np.cos(np.pi * m / n_sites))
 
 
-def _cosine_modes(n_sites: int) -> np.ndarray:
+def _cosine_modes(n_sites: int, sites=None) -> np.ndarray:
     """N x N orthogonal matrix whose row m is cosine mode m, built entry by
-    entry (never through the DCT) so the oracles stay independent of evolve."""
+    entry (never through a transform) so the oracles stay independent of
+    evolve.  ``sites`` (0-based) keeps only those columns."""
     n = n_sites
     m = np.arange(n, dtype=np.float64)[:, None]
-    j = np.arange(n, dtype=np.float64)[None, :]
+    j = np.arange(n) if sites is None else np.asarray(sites)
+    j = j.astype(np.float64)[None, :]
     g = np.sqrt(2.0 / n) * np.cos(np.pi / (2.0 * n) * m * (2.0 * j + 1.0))
     g[0, :] = np.sqrt(1.0 / n)
     return g
@@ -95,9 +110,41 @@ def uhc_matrix(p: ChainParams, periods: float) -> np.ndarray:
     return g.T @ (d[:, None] * g)
 
 
-def _hop_transform(amps: np.ndarray, phase_factors: np.ndarray) -> np.ndarray:
-    """Apply the hop via the orthonormal DCT-II/III pair (O(N log N))."""
-    return idct(phase_factors * dct(amps, type=2, norm="ortho"), type=2, norm="ortho")
+def _tap_spectrum(n_sites: int, beta: float) -> tuple[int, np.ndarray]:
+    """Mirror padding P and the FFT of the hop taps |d| <= P (see the module
+    docstring): the taps are the inverse FFT of the ring eigenphases, on a
+    ring of the FFT length when the band W < N, else on the 2N ring."""
+    band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
+    pad = min(band, n_sites)
+    length = next_fast_len(n_sites + 2 * pad)
+    ring = length if band < n_sites else 2 * n_sites
+    # Modes k and ring - k get one phase, bit for bit, so the taps stay
+    # symmetric in d and the mirrored (open-chain) subspace keeps its norm.
+    k = np.arange(ring)
+    k = np.minimum(k, ring - k).astype(np.float64)
+    taps = ifft(np.exp(-1j * beta * (1.0 - np.cos(2.0 * np.pi * k / ring))))
+    d = np.arange(-pad, pad + 1)
+    h = np.zeros(length, dtype=np.complex128)
+    h[d % length] = taps[d % ring]
+    if pad == n_sites:
+        # d = +N and -N are one offset of the 2N ring: split it evenly so
+        # the taps stay symmetric and conj(spectrum) is the inverse hop.
+        h[[n_sites, -n_sites]] *= 0.5
+    return pad, fft(h)
+
+
+def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Hop one period: mirror-pad ``amps`` by ``pad`` sites into ``buf`` (as
+    ``np.pad(amps, pad, mode="symmetric")``; the tail past it stays zero),
+    convolve with the taps whose FFT is ``spectrum``, keep the N central
+    outputs."""
+    n = amps.size
+    buf[:pad] = amps[:pad][::-1]
+    buf[pad:pad + n] = amps
+    buf[pad + n:2 * pad + n] = amps[n - pad:][::-1]
+    out = fft(buf)
+    out *= spectrum
+    return ifft(out, overwrite_x=True)[pad:pad + n]
 
 
 def kick_phases(p: ChainParams) -> np.ndarray:
@@ -108,21 +155,26 @@ def kick_phases(p: ChainParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionContext:
-    """Parameters plus the read-only one-period factors they imply: hop
-    factors act on cosine-mode amplitudes, kick factors on site amplitudes."""
+    """Parameters plus the read-only one-period factors they imply: the
+    hop's mirror padding and tap spectrum, and the site kick factors."""
 
     params: ChainParams
-    hop_factors: np.ndarray
+    pad: int
+    tap_spectrum: np.ndarray
     kick_factors: np.ndarray
+
+    def hop_buffer(self) -> np.ndarray:
+        """Zeroed work array for ``_ring_hop``, one per evolution."""
+        return np.zeros(self.tap_spectrum.size, dtype=np.complex128)
 
 
 def make_context(p: ChainParams) -> EvolutionContext:
     """Precompute one period's factors."""
-    hop = np.exp(-1j * hop_eigenphases(p.n_sites, p.beta))
+    pad, spectrum = _tap_spectrum(p.n_sites, p.beta)
     kick = kick_phases(p)
-    hop.setflags(write=False)
+    spectrum.setflags(write=False)
     kick.setflags(write=False)
-    return EvolutionContext(params=p, hop_factors=hop, kick_factors=kick)
+    return EvolutionContext(params=p, pad=pad, tap_spectrum=spectrum, kick_factors=kick)
 
 
 def _check_sites(state: SpinState, p: ChainParams) -> None:
@@ -135,14 +187,16 @@ def _check_sites(state: SpinState, p: ChainParams) -> None:
 def step_period(state: SpinState, ctx: EvolutionContext) -> SpinState:
     """One full driving period: hop for one period, then kick."""
     _check_sites(state, ctx.params)
-    return SpinState(_hop_transform(state.amplitudes, ctx.hop_factors) * ctx.kick_factors)
+    hopped = _ring_hop(state.amplitudes, ctx.pad, ctx.tap_spectrum, ctx.hop_buffer())
+    return SpinState(hopped * ctx.kick_factors)
 
 
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
-    """Exact inverse of step_period: conjugate kick, then hop backwards."""
+    """Exact inverse of step_period: conjugate kick, then hop backwards
+    with the conjugate tap spectrum (the taps are symmetric in d)."""
     _check_sites(state, ctx.params)
     amps = state.amplitudes * np.conj(ctx.kick_factors)
-    return SpinState(_hop_transform(amps, np.conj(ctx.hop_factors)))
+    return SpinState(_ring_hop(amps, ctx.pad, np.conj(ctx.tap_spectrum), ctx.hop_buffer()))
 
 
 @dataclass(frozen=True)
@@ -173,9 +227,9 @@ def evolve(
 
     Snapshots are stored at period 0, at every multiple of ``record_every``,
     and at the final period, at most MAX_SNAPSHOT_VALUES amplitudes in all
-    (MemoryBudgetError otherwise).  Each period is one cosine-transform hop
-    and one kick on the raw amplitude array; only recorded snapshots become
-    SpinState values.
+    (MemoryBudgetError otherwise).  Each period is one banded ring-kernel
+    hop and one kick on the raw amplitude array; only recorded snapshots
+    become SpinState values.
     """
     p = ctx.params
     _check_sites(initial, p)
@@ -191,12 +245,13 @@ def evolve(
             f"{MAX_SNAPSHOT_VALUES} stored amplitudes; increase record_every"
         )
 
-    hop, kick = ctx.hop_factors, ctx.kick_factors
+    pad, spectrum, kick = ctx.pad, ctx.tap_spectrum, ctx.kick_factors
+    buf = ctx.hop_buffer()
     periods = [0]
     states = [initial]
     amps = initial.amplitudes
     for j in range(1, n_periods + 1):
-        amps = _hop_transform(amps, hop) * kick
+        amps = _ring_hop(amps, pad, spectrum, buf) * kick
         if j % record_every == 0 or j == n_periods:
             periods.append(j)
             states.append(SpinState(amps))

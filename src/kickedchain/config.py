@@ -3,7 +3,7 @@
 One ``key = value`` per line, ``#`` starts a comment, unknown keys are
 rejected by name.  The defaults reproduce the headline accelerator-mode
 run: a 1401-site chain kicked at b_q = 1/15 with hopping phase 100.
-Every run evolves the open chain by the cosine-transform propagator; the
+Every run evolves the open chain by the banded ring-kernel hop; the
 dense matrices in ``chain`` are test oracles and no key selects them.
 """
 

@@ -44,6 +44,16 @@ class ChainParams:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if not (math.isfinite(self.b_q) and self.b_q >= 0.0):
             raise ValueError(f"b_q must be finite and nonnegative, got {self.b_q!r}")
+        # The largest per-period phases, the hop's 2*beta and the kick's at
+        # the far end of the chain, must be finite too.
+        if not math.isfinite(2.0 * self.beta):
+            raise ValueError(f"beta={self.beta!r} makes the hop phase 2*beta not finite")
+        reach = max(self.center - 1, self.n_sites - self.center)
+        if not math.isfinite(0.5 * self.b_q * float(reach) ** 2):
+            raise ValueError(
+                f"b_q={self.b_q!r} makes the kick phase (b_q/2)*{reach}**2 at the "
+                "chain's far end not finite"
+            )
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,9 @@ def _check_propagator_expm() -> float:
 
 
 def _check_engine_equivalence() -> float:
-    # The transform loop of evolve against the dense oracle product
+    # The ring-kernel loop of evolve against the dense oracle product
     # diag(kick) . U_hop, applied once per period, at a prime and a
-    # power-of-two length: the DCT takes different code paths for them.
+    # power-of-two length.
     worst = 0.0
     for n in (257, 256):
         p = ChainParams(n_sites=n, center=(n + 1) // 2, beta=30.0, b_q=0.1)
@@ -113,14 +113,16 @@ def _check_engine_equivalence() -> float:
 def _check_quadrature() -> float:
     # The integral is the continuum-k limit of the mode sum, so it only
     # approaches matrix elements at O(1/N): compare central entries of a
-    # long chain.
+    # long chain, summed over the cosine modes at just those sites.
     p = ChainParams(n_sites=1024, center=512, beta=10.0, b_q=0.1)
-    u = chain.uhc_matrix(p, 1.0)
     picks = (500, 511, 512, 513, 524)
+    g = chain._cosine_modes(p.n_sites, [r - 1 for r in picks])
+    d = np.exp(-1j * chain.hop_eigenphases(p.n_sites, p.beta))
+    u = g.T @ (d[:, None] * g)
     worst = 0.0
-    for r in picks:
-        for s in picks:
-            worst = max(worst, abs(frs_quadrature(r, s, p) - u[r - 1, s - 1]))
+    for i, r in enumerate(picks):
+        for k, s in enumerate(picks):
+            worst = max(worst, abs(frs_quadrature(r, s, p) - u[i, k]))
     return worst
 
 

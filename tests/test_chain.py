@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.fft import next_fast_len
 
 from kickedchain import (
     CapacityError,
@@ -16,7 +17,7 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
-from kickedchain.chain import _cosine_modes, _hop_transform, kick_phases
+from kickedchain.chain import _cosine_modes, _ring_hop, kick_phases
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -78,7 +79,8 @@ class TestPropagator:
 
     def test_transform_route_matches_dense(self, make_random_state):
         state = make_random_state(64)
-        via_transform = _hop_transform(state.amplitudes, make_context(P64).hop_factors)
+        ctx = make_context(P64)
+        via_transform = _ring_hop(state.amplitudes, ctx.pad, ctx.tap_spectrum, ctx.hop_buffer())
         via_matrix = uhc_matrix(P64, 1.0) @ state.amplitudes
         assert np.max(np.abs(via_transform - via_matrix)) < 1e-12
 
@@ -155,13 +157,19 @@ class TestOnePath:
     @settings(max_examples=60, deadline=None)
     @given(
         n_sites=st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from(PRIMES)),
-        beta=st.floats(min_value=0.0, max_value=60.0),
+        # Up to 1e4 at N <= 64 reaches the folded band (W >= N) as well.
+        beta=st.one_of(
+            st.floats(min_value=0.0, max_value=60.0),
+            st.floats(min_value=0.0, max_value=1e4),
+        ),
         b_q=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
         where=st.sampled_from(("first", "middle", "last")),
         n_periods=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_evolve_matches_oracle_product(self, n_sites, beta, b_q, where, n_periods, seed):
+        if beta > 60.0:
+            n_sites = min(n_sites, 64)
         center = {"first": 1, "middle": (n_sites + 1) // 2, "last": n_sites}[where]
         p = ChainParams(n_sites=n_sites, center=center, beta=beta, b_q=b_q)
         ctx = make_context(p)
@@ -181,3 +189,17 @@ class TestOnePath:
         state = SpinState(amps / np.linalg.norm(amps))
         back = step_period_inverse(step_period(state, ctx), ctx)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_folded_band_matches_oracle(self, make_random_state):
+        # W = beta + 10 beta^(1/3) + 30 >> N: the taps fold onto the 2N
+        # ring, and no context array grows with beta.
+        n = 33
+        p = ChainParams(n_sites=n, center=17, beta=1e6, b_q=0.3)
+        ctx = make_context(p)
+        assert ctx.pad == n
+        assert max(ctx.tap_spectrum.size, ctx.kick_factors.size) <= next_fast_len(3 * n)
+        state = make_random_state(n)
+        got = evolve(state, ctx, 3).final.amplitudes
+        u = kick_phases(p)[:, None] * uhc_matrix(p, 1.0)
+        want = u @ (u @ (u @ state.amplitudes))
+        assert np.max(np.abs(got - want)) < 1e-9

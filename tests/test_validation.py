@@ -20,14 +20,15 @@ class TestSuite:
             assert isinstance(check["deviation"], float)
 
     def test_mutation_breaks_engine_equivalence(self, monkeypatch):
-        # A sign error injected into the transform route only: the dense
-        # route is untouched, so exactly the cross-engine check must trip.
-        real = kickedchain.chain._hop_transform
+        # A sign error injected into the ring-kernel hop that evolve calls:
+        # the dense route is untouched, so exactly the cross-engine check
+        # must trip.
+        real = kickedchain.chain._ring_hop
 
-        def corrupted(amps, phase_factors):
-            return real(amps, np.conj(phase_factors))
+        def corrupted(amps, pad, spectrum, buf):
+            return real(amps, pad, np.conj(spectrum), buf)
 
-        monkeypatch.setattr(kickedchain.chain, "_hop_transform", corrupted)
+        monkeypatch.setattr(kickedchain.chain, "_ring_hop", corrupted)
         report = validate_suite()
         assert not report.passed
         assert "engine_equivalence" in report.failures
