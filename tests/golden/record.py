@@ -113,7 +113,8 @@ def fingerprint(out_dir: str, names) -> dict:
             col = np.asarray(values, dtype=np.float64)
             if key in EXP_COLUMNS:
                 col, key = np.exp(col), f"exp({key})"
-            idx = np.unique(np.linspace(0, col.size - 1, min(col.size, SAMPLE_ROWS)).round().astype(int))
+            idx = np.linspace(0, col.size - 1, min(col.size, SAMPLE_ROWS)).round()
+            idx = np.unique(idx.astype(int))
             cols[key] = {"rows": col.size, "sample": col[idx].tolist(),
                          "sum": float(col.sum()), "sumsq": float(col @ col)}
         result[name] = cols

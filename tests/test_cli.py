@@ -33,7 +33,9 @@ def test_protocol_preconditions_are_config_errors(override, needle, tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("override,needle", [("beta=1e308", "2*beta"), ("b_q=1e308", "(b_q/2)*10**2")])
+@pytest.mark.parametrize(
+    "override,needle", [("beta=1e308", "2*beta"), ("b_q=1e308", "(b_q/2)*10**2")]
+)
 def test_non_finite_phase_is_a_config_error(override, needle, tmp_path, capsys):
     # Both inputs are finite, but 2*beta or (b_q/2)*10**2 overflows.
     code = main(["evolve", *TINY, "--set", override, "--out", str(tmp_path / "run")])

@@ -51,7 +51,8 @@ def test_recipe_within_fingerprint(label, tmp_path):
 
 def test_fingerprint_catches_a_relative_1e8_parameter_change(tmp_path):
     # Negative control: b_q moved by one part in 1e8 must fail the check.
-    overrides = [o.replace("b_q=0.05", "b_q=0.0500000005") for o in CORPUS["diffusion"]["overrides"]]
-    assert overrides != CORPUS["diffusion"]["overrides"]
+    base = CORPUS["diffusion"]["overrides"]
+    overrides = [o.replace("b_q=0.05", "b_q=0.0500000005") for o in base]
+    assert overrides != base
     dev = _deviation(overrides, str(tmp_path / "diffusion"), FINGERPRINTS["diffusion"])
     assert record.RTOL < dev < 1e-3
