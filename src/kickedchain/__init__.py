@@ -16,7 +16,6 @@ from .chain import (
     hop_eigenphases,
     make_context,
     oracle_hamiltonian,
-    step_period,
     step_period_inverse,
     uhc_matrix,
 )
@@ -27,9 +26,6 @@ from .config import (
     apply_overrides,
     config_values,
     parse_config,
-    serialize_config,
-    with_experiment,
-    with_output_dir,
 )
 from .errors import (
     CapacityError,
@@ -69,7 +65,6 @@ from .protocol import (
     MeasurementOutcome,
     ProtocolReport,
     central_measurement,
-    ideal_packet_pair,
     measurement_window,
     run_protocol,
 )

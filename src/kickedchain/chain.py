@@ -21,8 +21,9 @@ W = ceil(beta + 10*beta**(1/3) + 30); the taps beyond it sum to below
 phases beta*(1 - cos k) themselves.  For W < N, P = W.  For W >= N the
 taps are folded onto the 2N ring (its 2N distinct offsets, exact with no
 truncation) and P = N, so memory grows with N and never with beta.  The
-taps come from an inverse FFT of the ring eigenphases, never from Bessel
-functions.
+taps come from an inverse FFT of the ring eigenphases (``ring_taps``),
+never from Bessel functions; ``qkr.ring_propagator`` is built from the
+same taps, so the Bessel checks against it see the production hop.
 
 The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
@@ -110,6 +111,18 @@ def uhc_matrix(p: ChainParams, periods: float) -> np.ndarray:
     return g.T @ (d[:, None] * g)
 
 
+def ring_taps(ring: int, beta: float) -> np.ndarray:
+    """One-period hop taps on a ring of ``ring`` sites, entry d mod ring:
+    the inverse FFT of the eigenphases beta * (1 - cos(2*pi*k/ring)).
+
+    Modes k and ring - k get one phase, bit for bit, so the taps stay
+    symmetric in d and the mirrored (open-chain) subspace keeps its norm.
+    """
+    k = np.arange(ring)
+    k = np.minimum(k, ring - k).astype(np.float64)
+    return ifft(np.exp(-1j * beta * (1.0 - np.cos(2.0 * np.pi * k / ring))))
+
+
 def _tap_spectrum(n_sites: int, beta: float) -> tuple[int, np.ndarray]:
     """Mirror padding P and the FFT of the hop taps |d| <= P (see the module
     docstring): the taps are the inverse FFT of the ring eigenphases, on a
@@ -118,11 +131,7 @@ def _tap_spectrum(n_sites: int, beta: float) -> tuple[int, np.ndarray]:
     pad = min(band, n_sites)
     length = next_fast_len(n_sites + 2 * pad)
     ring = length if band < n_sites else 2 * n_sites
-    # Modes k and ring - k get one phase, bit for bit, so the taps stay
-    # symmetric in d and the mirrored (open-chain) subspace keeps its norm.
-    k = np.arange(ring)
-    k = np.minimum(k, ring - k).astype(np.float64)
-    taps = ifft(np.exp(-1j * beta * (1.0 - np.cos(2.0 * np.pi * k / ring))))
+    taps = ring_taps(ring, beta)
     d = np.arange(-pad, pad + 1)
     h = np.zeros(length, dtype=np.complex128)
     h[d % length] = taps[d % ring]
@@ -184,16 +193,9 @@ def _check_sites(state: SpinState, p: ChainParams) -> None:
         )
 
 
-def step_period(state: SpinState, ctx: EvolutionContext) -> SpinState:
-    """One full driving period: hop for one period, then kick."""
-    _check_sites(state, ctx.params)
-    hopped = _ring_hop(state.amplitudes, ctx.pad, ctx.tap_spectrum, ctx.hop_buffer())
-    return SpinState(hopped * ctx.kick_factors)
-
-
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
-    """Exact inverse of step_period: conjugate kick, then hop backwards
-    with the conjugate tap spectrum (the taps are symmetric in d)."""
+    """Exact inverse of one period of ``evolve``: conjugate kick, then hop
+    backwards with the conjugate tap spectrum (the taps are symmetric in d)."""
     _check_sites(state, ctx.params)
     amps = state.amplitudes * np.conj(ctx.kick_factors)
     return SpinState(_ring_hop(amps, ctx.pad, np.conj(ctx.tap_spectrum), ctx.hop_buffer()))

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .config import EXPERIMENTS, apply_overrides, parse_config, with_experiment, with_output_dir
+from .config import EXPERIMENTS, apply_overrides, parse_config
 from .errors import CapacityError, ConfigError, KickedChainError, MemoryBudgetError
 from .experiments import run_experiment
 
@@ -55,11 +55,12 @@ def main(argv: list[str] | None = None) -> int:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        cfg = parse_config(text)
-        cfg = apply_overrides(cfg, args.overrides)
-        cfg = with_experiment(cfg, args.experiment)
+        # The positional experiment and --out are two more overrides, applied
+        # last, so every key has one rule.
+        overrides = [*args.overrides, f"experiment={args.experiment}"]
         if args.out is not None:
-            cfg = with_output_dir(cfg, args.out)
+            overrides.append(f"output_dir={args.out}")
+        cfg = apply_overrides(parse_config(text), overrides)
         manifest = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ dense matrices in ``chain`` are test oracles and no key selects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .chain import MAX_SNAPSHOT_VALUES
 from .errors import ConfigError
 from .params import ChainParams
 
@@ -71,6 +72,12 @@ def _validated(values: dict) -> ExperimentConfig:
         raise ConfigError(f"key 'n_periods': must be nonnegative, got {values['n_periods']}")
     if values["record_every"] < 1:
         raise ConfigError(f"key 'record_every': must be >= 1, got {values['record_every']}")
+    if values["n_sites"] > MAX_SNAPSHOT_VALUES:
+        # The period-0 snapshot alone would exceed the evolution's budget.
+        raise ConfigError(
+            f"chain geometry: n_sites={values['n_sites']} exceeds the budget of "
+            f"{MAX_SNAPSHOT_VALUES} stored amplitudes"
+        )
     try:
         chain = ChainParams(
             n_sites=values["n_sites"],
@@ -146,27 +153,3 @@ def config_values(cfg: ExperimentConfig) -> dict:
         "format": cfg.format,
     }
 
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config as parseable text; parse(serialize(c)) == c."""
-    values = config_values(cfg)
-    lines = []
-    for key in DEFAULTS:
-        val = values[key]
-        if isinstance(val, float):
-            lines.append(f"{key} = {val!r}")
-        else:
-            lines.append(f"{key} = {val}")
-    return "\n".join(lines) + "\n"
-
-
-def with_experiment(cfg: ExperimentConfig, experiment: str) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"key 'experiment': must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
-    return replace(cfg, experiment=experiment)
-
-
-def with_output_dir(cfg: ExperimentConfig, output_dir: str) -> ExperimentConfig:
-    if not output_dir:
-        raise ConfigError("key 'output_dir': must not be empty")
-    return replace(cfg, output_dir=output_dir)

@@ -173,15 +173,16 @@ def _run_entanglement(cfg: ExperimentConfig) -> dict:
 
 def _run_accel(cfg: ExperimentConfig) -> dict:
     last = trackable_pulses(cfg.chain)
-    usable = [
-        j for j in range(1, cfg.n_periods + 1)
-        if j % cfg.record_every == 0 or j == cfg.n_periods
-    ]
-    fit_pulses = [j for j in usable if 2 <= j <= last]
-    if len(fit_pulses) < 5:
+    # Recorded pulses in [2, last]: the multiples of record_every (a lazy
+    # range, so n_periods may be huge) and the final period.
+    n, every = cfg.n_periods, cfg.record_every
+    multiples = range(max(every, 2), min(n, last) + 1, every)
+    final = [n] if 2 <= n <= last and n % every else []
+    n_fit = len(multiples) + len(final)
+    if n_fit < 5:
         raise ConfigError(
             "accel needs at least 5 recorded pulses in [2, "
-            f"{last}] (chain geometry cap); got {len(fit_pulses)} "
+            f"{last}] (chain geometry cap); got {n_fit} "
             "from keys 'n_periods'/'record_every'/'n_sites'"
         )
     window = accelerator_window(derived_params(cfg.chain).k_s)
@@ -200,17 +201,18 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
                 "rate": decay.rate,
                 "oscillatory": decay.oscillatory,
                 "residual": decay.residual,
-                "pulse_range": [fit_pulses[0], fit_pulses[-1]],
+                "pulse_range": [multiples[0], (final or multiples)[-1]],
             }
         ),
     }
 
 
 def _run_protocol(cfg: ExperimentConfig) -> dict:
-    # Check the packet geometry 'n_periods' implies before evolving, as accel does.
+    # Check the packet geometry 'n_periods' implies before evolving, as accel
+    # does; past about 1.8e308 pulses the centers overflow a float.
     try:
         packet_centers(cfg.chain, cfg.n_periods)
-    except (ValueError, PacketsOutOfRangeError) as exc:
+    except (ValueError, OverflowError, PacketsOutOfRangeError) as exc:
         raise ConfigError(
             f"protocol at n_periods={cfg.n_periods}, b_q={cfg.chain.b_q!r}: {exc}"
         ) from exc

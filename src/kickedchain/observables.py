@@ -261,11 +261,12 @@ def trackable_pulses(p: ChainParams) -> int:
     A packet at pulse j sits 2*pi*j/b_q sites out; past the point where
     that position plus the corridor slack and the packet margin reaches a
     chain end, detection would confuse boundary pile-up with transport, so
-    reports stop there.
+    reports stop there.  Without a finite advance (b_q = 0, or so small
+    that 2*pi/b_q overflows) no packet travels: 0.
     """
-    if p.b_q <= 0.0:
+    advance = _advance(p) if p.b_q > 0.0 else math.inf
+    if not math.isfinite(advance):
         return 0
-    advance = _advance(p)
     margin = CORRIDOR_FRACTION * advance + PACKET_MARGIN_WIDTHS / math.sqrt(p.b_q)
     half_extent = min(p.center - 1, p.n_sites - p.center)
     return max(0, int((half_extent - margin) / advance))

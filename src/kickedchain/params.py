@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Past 2**53 a float phase has no digit left below 2*pi.
+MAX_PHASE = 2.0**53
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -45,15 +48,18 @@ class ChainParams:
         if not (math.isfinite(self.b_q) and self.b_q >= 0.0):
             raise ValueError(f"b_q must be finite and nonnegative, got {self.b_q!r}")
         # The largest per-period phases, the hop's 2*beta and the kick's at
-        # the far end of the chain, must be finite too.
-        if not math.isfinite(2.0 * self.beta):
-            raise ValueError(f"beta={self.beta!r} makes the hop phase 2*beta not finite")
+        # the far end of the chain, must be finite and at most MAX_PHASE.
         reach = max(self.center - 1, self.n_sites - self.center)
-        if not math.isfinite(0.5 * self.b_q * float(reach) ** 2):
-            raise ValueError(
-                f"b_q={self.b_q!r} makes the kick phase (b_q/2)*{reach}**2 at the "
-                "chain's far end not finite"
-            )
+        for phase, what in (
+            (2.0 * self.beta, f"beta={self.beta!r} makes the hop phase 2*beta"),
+            (0.5 * self.b_q * float(reach) ** 2,
+             f"b_q={self.b_q!r} makes the kick phase (b_q/2)*{reach}**2 at the chain's far end"),
+        ):
+            if not phase <= MAX_PHASE:
+                raise ValueError(
+                    f"{what} = {phase:.3g}, not finite or above 2**53 (no digit of "
+                    "it mod 2*pi survives)"
+                )
 
 
 @dataclass(frozen=True)

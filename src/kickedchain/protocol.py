@@ -84,27 +84,10 @@ def central_measurement(
     return _branch(True, outside), _branch(False, inside)
 
 
-def _gaussian(p: ChainParams, center: float) -> np.ndarray:
-    # The accelerator-mode amplitude profile e^{-b_q (s - center)^2}, unnormalized.
-    sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
-    return np.exp(-p.b_q * (sites - center) ** 2)
-
-
-def ideal_packet_pair(p: ChainParams, pulse_index: int) -> SpinState:
-    """Reference superposition of two Gaussians at center +- 2*pi*j/b_q.
-
-    Each packet has the accelerator-mode profile e^{-b_q (s - s_j)^2}; the
-    pair is an equal-weight, zero-relative-phase superposition.  Raises as
-    ``packet_centers`` does.
-    """
-    s_left, s_right = packet_centers(p, pulse_index)
-    pair = _gaussian(p, s_left) + _gaussian(p, s_right)
-    pair = pair.astype(np.complex128)
-    return SpinState(pair / np.linalg.norm(pair))
-
-
 def _packet(p: ChainParams, center: float) -> np.ndarray:
-    g = _gaussian(p, center)
+    # The normalized accelerator-mode amplitude profile e^{-b_q (s - center)^2}.
+    sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
+    g = np.exp(-p.b_q * (sites - center) ** 2)
     return g / np.linalg.norm(g)
 
 
@@ -143,12 +126,14 @@ class ProtocolReport:
 def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
     """Drive, measure the central region, and grade the heralded state.
 
-    Fidelity against the ideal packet pair is maximized analytically over
-    the one free relative phase:
+    The reference pair is two normalized accelerator-mode Gaussians
+    g_j = e^{-b_q (s - s_j)^2} at the ``packet_centers``; fidelity against
+    their equal-weight superposition is maximized analytically over the one
+    free relative phase:
 
         F = (|<g_left|post>| + |<g_right|post>|)^2 / 2,
 
-    valid because the two reference Gaussians have negligible overlap.
+    valid because the two Gaussians have negligible overlap.
     """
     s_left, s_right = packet_centers(p, n_pulses)
     traj = evolve(site_state(p.n_sites, p.center), make_context(p), n_pulses,

@@ -8,7 +8,10 @@ rotor kick operator,
 
     U_hop(r, s) ~ e^{-i beta} i^{r-s} J_{r-s}(beta),
 
-exactly on a ring and up to boundary-image terms on the open chain.  The
+exactly on a ring and up to boundary-image terms on the open chain.
+``ring_propagator`` is built from the chain's own hop taps
+(``chain.ring_taps``), while the kick matrices here come from Bessel
+functions, so their agreement checks the taps ``evolve`` uses.  The
 reference matrices take the plain numbers they use: a size (momentum
 states or ring sites) and the Bessel argument beta.  The classical limit
 is the standard map with stochasticity K = beta * b_q, iterated on whole
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
+from .chain import ring_taps
 from .errors import QuadratureConvergenceError, WeakChaosWarning
 from .params import ChainParams
 
@@ -70,18 +74,17 @@ def ring_kick_matrix(size: int, beta: float) -> np.ndarray:
 
 
 def ring_propagator(n_sites: int, beta: float) -> np.ndarray:
-    """One-period hopping propagator on a ring of ``n_sites``, from plane-wave eigenmodes.
+    """One-period hopping propagator on a ring of ``n_sites``: the circulant
+    of ``chain.ring_taps``, the taps ``evolve`` convolves with.
 
-    Eigenphases are beta * (1 - cos(2*pi*k/N)); the matrix is circulant.
-    Equals exp(-i*beta) times ring_kick_matrix to machine precision.
+    Eigenphases are beta * (1 - cos(2*pi*k/N)).  Equals exp(-i*beta) times
+    ring_kick_matrix to machine precision.
     """
     if n_sites < 3:
         raise ValueError(f"a ring needs n_sites >= 3, got {n_sites!r}")
-    n = n_sites
-    theta = 2.0 * np.pi * np.arange(n) / n
-    col = np.fft.ifft(np.exp(-1j * beta * (1.0 - np.cos(theta))))
-    idx = np.arange(n)
-    return col[(idx[:, None] - idx[None, :]) % n]
+    col = ring_taps(n_sites, beta)
+    idx = np.arange(n_sites)
+    return col[(idx[:, None] - idx[None, :]) % n_sites]
 
 
 def frs_quadrature(r: int, s: int, p: ChainParams) -> complex:

@@ -2,9 +2,16 @@
 run past the snapshot memory budget in exit 2, each with one line on
 stderr, never a traceback."""
 
+import contextlib
+import io
+import tempfile
+
 import pytest
 
 from kickedchain.cli import main
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 TINY = ["--set", "n_sites=21", "--set", "center=11", "--set", "n_periods=1"]
 
@@ -96,3 +103,118 @@ def test_package_error_during_a_run_is_one_line(tmp_path, capsys):
     assert code == 1
     err = _one_line_error(capsys)
     assert err.startswith("run error: InsufficientDataError: ")
+
+
+def test_bad_positional_experiment_is_a_config_error(tmp_path, capsys):
+    code = main(["nonsense", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: key 'experiment': must be one of evolve, ")
+    assert err.endswith("got 'nonsense'\n")
+
+
+def test_empty_out_is_a_config_error(capsys):
+    code = main(["evolve", *TINY, "--out", ""])
+    assert code == 1
+    assert _one_line_error(capsys) == "config error: key 'output_dir': must not be empty\n"
+
+
+def test_positional_and_out_follow_the_set_rules(tmp_path):
+    # Both are overrides like --set ones, so surrounding whitespace goes.
+    code = main([" evolve ", *TINY, "--out", f" {tmp_path / 'run'} "])
+    assert code == 0
+    assert (tmp_path / "run" / "distribution.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        # Past the snapshot budget before the first period.
+        (["fig1", "--set", "n_sites=100000000000000000000000"], "exceeds the budget of 20000000"),
+        # Finite phases above 2**53 keep no digit mod 2*pi.
+        (["evolve", "--set", "beta=1e155"], "2*beta = 2e+155"),
+        (["diffusion", "--set", "n_sites=65", "--set", "center=33", "--set", "b_q=1e300"],
+         "(b_q/2)*32**2"),
+    ],
+)
+def test_unusable_geometry_is_a_config_error(argv, needle, tmp_path, capsys):
+    code = main([*argv, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: chain geometry: ")
+    assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_vanishing_b_q_tracks_no_pulses(tmp_path, capsys):
+    # 2*pi/b_q overflows at b_q = 5e-324: no packet travels.
+    code = main(["fig1", *TINY, "--set", "b_q=5e-324", "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert '"reports": []' in (tmp_path / "run" / "modes.json").read_text()
+    code = main(["accel", "--set", "b_q=5e-324", "--out", str(tmp_path / "accel")])
+    assert code == 1
+    assert "recorded pulses in [2, 0] (chain geometry cap); got 0" in _one_line_error(capsys)
+
+
+def test_accel_pulse_check_stops_at_trackable_pulses(tmp_path, capsys):
+    # 10**15 periods with one snapshot: refused from the 7 trackable pulses
+    # at once, never by walking every period.
+    big = 10**15
+    code = main(["accel", "--set", f"n_periods={big}", "--set", f"record_every={big}",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("config error: accel needs at least 5 recorded pulses in [2, 7]")
+    assert "got 0 from keys" in err
+
+
+# Edge values for every key, plus one valid value where the edges alone
+# would refuse everything.  No n_sites between 1e5 and the refusal bound
+# (the arrays would take gigabytes) and no huge record_every (evolve would
+# walk a huge n_periods).
+EDGES = ("0", "1", "-1", "5e-324", "nan", "inf", "-inf", "text", "")
+# 10**30 still fits a float, 10**400 does not.
+HUGE_INTS = ("1" + "0" * 30, "1" + "0" * 400)
+VALUES = {
+    "experiment": (*EDGES, "validate"),
+    "n_sites": (*EDGES, *HUGE_INTS, "21", "65"),
+    "center": (*EDGES, *HUGE_INTS, "11"),
+    "beta": (*EDGES, "1e300", "1e155", "10"),
+    "b_q": (*EDGES, "1e300", "0.1"),
+    "n_periods": (*EDGES, *HUGE_INTS, "1e300", "3"),
+    "record_every": (*EDGES, "2"),
+    "output_dir": (*EDGES, *HUGE_INTS),
+    "format": (*EDGES, "json"),
+    "no_such_key": EDGES,
+}
+OVERRIDE = st.sampled_from(tuple(VALUES)).flatmap(
+    lambda key: st.sampled_from(VALUES[key]).map(lambda value: f"{key}={value}")
+)
+
+
+# validate ignores every chain key and takes about a second, so it is left out.
+@settings(max_examples=100, deadline=None)
+@given(
+    experiment=st.sampled_from(
+        ("evolve", "fig1", "diffusion", "localization", "entanglement", "accel", "protocol")
+    ),
+    overrides=st.lists(OVERRIDE, max_size=4),
+)
+@example("fig1", ["n_sites=100000000000000000000000"])
+@example("evolve", ["beta=1e155"])
+@example("diffusion", ["n_sites=65", "center=33", "b_q=1e300"])
+@example("fig1", ["b_q=5e-324"])
+@example("accel", ["b_q=5e-324"])
+@example("protocol", ["n_periods=1" + "0" * 400])
+def test_exit_code_contract(experiment, overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [experiment, "--out", f"{tmp}/run"]
+        for item in overrides:
+            argv += ["--set", item]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -211,5 +211,7 @@ class TestTrackablePulses:
         assert trackable_pulses(p) == want
 
     def test_kick_off_has_no_pulses(self):
-        p = ChainParams(n_sites=101, center=51, beta=10.0, b_q=0.0)
-        assert trackable_pulses(p) == 0
+        # At b_q = 5e-324 the advance 2*pi/b_q overflows: as good as off.
+        for b_q in (0.0, 5e-324):
+            p = ChainParams(n_sites=101, center=51, beta=10.0, b_q=b_q)
+            assert trackable_pulses(p) == 0

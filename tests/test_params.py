@@ -36,6 +36,14 @@ class TestChainParams:
         with pytest.raises(ValueError):
             ChainParams(**base)
 
+    def test_phases_above_two_to_the_53_are_refused(self):
+        # 2*beta and (b_q/2)*reach**2 may reach 2**53 and no further.
+        ChainParams(n_sites=3, center=2, beta=2.0**52, b_q=2.0**54)
+        with pytest.raises(ValueError, match=r"2\*beta = 9\.01e\+15, not finite or above 2\*\*53"):
+            ChainParams(n_sites=3, center=2, beta=math.nextafter(2.0**52, math.inf), b_q=0.0)
+        with pytest.raises(ValueError, match=r"\(b_q/2\)\*1\*\*2 at the chain's far end = 9"):
+            ChainParams(n_sites=3, center=2, beta=0.0, b_q=math.nextafter(2.0**54, math.inf))
+
     def test_ring_needs_three_sites(self):
         # The ring is a kicked-rotor reference, not a ChainParams option.
         with pytest.raises(ValueError, match="n_sites >= 3"):

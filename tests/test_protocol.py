@@ -7,12 +7,13 @@ from kickedchain import (
     ChainParams,
     SpinState,
     central_measurement,
-    ideal_packet_pair,
     measurement_window,
+    packet_centers,
     run_protocol,
     site_state,
 )
 from kickedchain.errors import EmptyBranchWarning, PacketsOutOfRangeError
+from kickedchain.protocol import _packet
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 
@@ -61,33 +62,35 @@ class TestCentralMeasurement:
 
 
 class TestIdealPacketPair:
+    """The reference pair ``run_protocol`` grades against: normalized
+    Gaussians ``_packet`` at the ``packet_centers``."""
+
     def test_normalized_and_symmetric(self):
-        pair = ideal_packet_pair(FIG1, 3)
-        assert pair.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        probs = np.abs(pair.amplitudes) ** 2
-        # mirror symmetry up to rounding of the non-integer packet centers
-        assert np.max(np.abs(probs - probs[::-1])) < 1e-12
+        s_left, s_right = packet_centers(FIG1, 3)
+        g_left, g_right = _packet(FIG1, s_left), _packet(FIG1, s_right)
+        assert np.linalg.norm(g_left) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(g_right) == pytest.approx(1.0, abs=1e-12)
+        # mirror images up to rounding of the non-integer packet centers
+        assert np.max(np.abs(g_left - g_right[::-1])) < 1e-12
 
     def test_peaks_at_ballistic_positions(self):
-        pair = ideal_packet_pair(FIG1, 3)
-        probs = np.abs(pair.amplitudes) ** 2
-        offset = round(3 * 2.0 * math.pi / FIG1.b_q)
-        left, right = 701 - offset, 701 + offset
-        assert abs(int(np.argmax(probs)) + 1 - left) <= 1 or abs(
-            int(np.argmax(probs)) + 1 - right
-        ) <= 1
-        assert probs[left - 1] == pytest.approx(probs[right - 1], rel=1e-10)
+        s_left, s_right = packet_centers(FIG1, 3)
+        offset = 3 * 2.0 * math.pi / FIG1.b_q
+        assert (s_left, s_right) == pytest.approx((701 - offset, 701 + offset), rel=1e-15)
+        left, right = 701 - round(offset), 701 + round(offset)
+        assert int(np.argmax(_packet(FIG1, s_left))) + 1 == left
+        assert int(np.argmax(_packet(FIG1, s_right))) + 1 == right
 
     def test_out_of_range_pulse(self):
         with pytest.raises(PacketsOutOfRangeError):
-            ideal_packet_pair(FIG1, 8)
+            packet_centers(FIG1, 8)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            ideal_packet_pair(FIG1, 0)
+            packet_centers(FIG1, 0)
         off = ChainParams(n_sites=101, center=51, beta=1.0, b_q=0.0)
         with pytest.raises(ValueError):
-            ideal_packet_pair(off, 1)
+            packet_centers(off, 1)
 
 
 class TestMeasurementWindow:
