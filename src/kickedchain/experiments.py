@@ -8,7 +8,10 @@ configuration, the derived parameters, and a SHA-256 digest of each data
 file.  Data bytes are a pure function of (config, package version):
 tables are rendered from numpy columns with one locale-independent printf
 code per column, JSON keys are sorted, and files are written atomically
-(temp file then rename).
+(temp file then rename).  A distribution table, a (period, site) product
+grid, is rendered one snapshot at a time from a text template of every
+site, built once per table; it yields the same bytes as rendering it
+row by row.
 """
 
 from __future__ import annotations
@@ -62,13 +65,52 @@ class RunManifest:
     files: dict
 
 
-def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
+class _SiteGrid:
+    """The (period, site, value) rows of a snapshots x sites array.
+
+    ``len()`` is the number of rows and iterating yields them in period-major
+    order, so a grid stands wherever ``_table`` takes a list of row tuples.
+    """
+
+    def __init__(self, periods: tuple[int, ...], values: np.ndarray):
+        self.periods = periods
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __iter__(self):
+        sites = range(1, self.values.shape[1] + 1)
+        for period, row in zip(self.periods, self.values):
+            for site, value in zip(sites, row.tolist()):
+                yield period, site, value
+
+    def csv_body(self) -> str:
+        """The rows as ``%d,%d,%.12g`` lines, one ``%`` per snapshot.
+
+        The site template is built once; each snapshot puts its period in
+        place of ``@`` and formats its values with one ``%``.
+        """
+        n_sites = self.values.shape[1]
+        template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
+        return "".join(
+            [
+                template.replace("@", str(period)) % tuple(row.tolist())
+                for period, row in zip(self.periods, self.values)
+            ]
+        )
+
+
+def _table(header: tuple[str, ...], rows: list[tuple] | _SiteGrid, fmt: str) -> str:
     """Render a column table as CSV text or as a JSON columns/rows object.
 
     CSV writes each column with one code, %d for integers and %.12g for
-    floats, chosen from the first row.
+    floats, chosen from the first row.  A ``_SiteGrid`` is rendered one
+    snapshot at a time from its site template, with the same bytes.
     """
     if fmt == "csv":
+        if isinstance(rows, _SiteGrid):
+            return ",".join(header) + "\n" + rows.csv_body()
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     payload = {"columns": list(header), "rows": [list(row) for row in rows]}
@@ -95,12 +137,9 @@ def _trajectory(cfg: ExperimentConfig):
 
 def _distribution(cfg: ExperimentConfig, traj) -> dict:
     probs = np.abs(np.stack([state.amplitudes for state in traj.states])) ** 2
-    n_snapshots, n_sites = probs.shape
-    periods = np.repeat(np.asarray(traj.periods), n_sites)
-    sites = np.tile(np.arange(1, n_sites + 1), n_snapshots)
-    rows = list(zip(periods.tolist(), sites.tolist(), probs.ravel().tolist()))
+    grid = _SiteGrid(traj.periods, probs)
     header = ("period", "site", "probability")
-    return {f"distribution.{cfg.format}": _table(header, rows, cfg.format)}
+    return {f"distribution.{cfg.format}": _table(header, grid, cfg.format)}
 
 
 def _run_evolve(cfg: ExperimentConfig) -> dict:

@@ -1,6 +1,7 @@
 """The names the benchmark's tracer (``perfbench/tracing.py``) patches and
 reads must keep existing: a tiny traced pass must count work in every
-layer the workloads report, and ``uninstall`` must restore every name."""
+layer the workloads report, its row count must equal the data lines of
+the tables it wrote, and ``uninstall`` must restore every name."""
 
 import importlib.util
 import sys
@@ -49,6 +50,11 @@ def test_traced_pass_counts_every_layer_and_uninstall_restores(tmp_path):
     for key in ("chain.periods", "state.snapshots", "experiments.rows",
                 "observables.detect_calls", "observables.mode_fits"):
         assert metrics[key] > 0, key
+    # Every table row is rendered by _table and counted once: fig1's
+    # distribution plus localization's profile (protocol writes only JSON).
+    tables = (tmp_path / "fig1" / "distribution.csv", tmp_path / "localization" / "profile.csv")
+    data_lines = sum(len(path.read_text().splitlines()) - 1 for path in tables)
+    assert metrics["experiments.rows"] == data_lines
 
     after = _namespaces()
     for name, namespace in before.items():

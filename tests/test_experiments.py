@@ -16,6 +16,10 @@ from kickedchain import (
     run_experiment,
     trackable_pulses,
 )
+from kickedchain.experiments import _SiteGrid, _table
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 SMALL = [
     "n_sites = 201",
@@ -105,6 +109,55 @@ class TestManifest:
             tmp_path, "evolve", *SMALL, "beta=21", f"output_dir={tmp_path / 'b'}"
         )
         assert run_experiment(cfg_a).files != run_experiment(cfg_b).files
+
+
+# Values where %.12g changes form: zero, the smallest subnormal, a deep
+# subnormal, the switch to exponent notation below 1e-4, and round values.
+SPECIAL_VALUES = (0.0, 5e-324, 1e-320, 1e-5, 0.1, 1.0)
+
+
+def _grid_values(n_snapshots, n_sites, seed, specials):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n_snapshots, n_sites)) + 1j * rng.normal(size=(n_snapshots, n_sites))
+    values = np.abs(amps / np.linalg.norm(amps, axis=1, keepdims=True)) ** 2
+    flat = values.reshape(-1)
+    for index, value in specials:
+        flat[index % flat.size] = value
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sites=st.sampled_from((2, 9, 10, 99, 100, 1401)),
+    record_every=st.integers(2, 10**7),
+    n_multiples=st.integers(0, 3),
+    tail=st.integers(1, 10**7),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIAL_VALUES)), max_size=12
+    ),
+)
+@example(99, 7, 2, 3, 0, list(enumerate(SPECIAL_VALUES)))
+@example(1401, 9, 3, 8, 1, [(1400 + 1401 * i, v) for i, v in enumerate(SPECIAL_VALUES[:4])])
+def test_site_grid_renders_the_row_bytes(n_sites, record_every, n_multiples, tail, seed, specials):
+    # Periods as evolve records them with record_every > 1: period 0, the
+    # multiples of record_every, then a final period off the multiples.
+    periods = tuple(range(0, (n_multiples + 1) * record_every, record_every))
+    periods += (periods[-1] + (tail % record_every or 1),)
+    values = _grid_values(len(periods), n_sites, seed, specials)
+    rows = [
+        (period, site, float(values[i, site - 1]))
+        for i, period in enumerate(periods)
+        for site in range(1, n_sites + 1)
+    ]
+    header = ("period", "site", "probability")
+    grid = _SiteGrid(periods, values)
+
+    assert len(grid) == len(rows)
+    expected = "\n".join([",".join(header), *("%d,%d,%.12g" % row for row in rows)]) + "\n"
+    assert _table(header, grid, "csv") == expected
+    assert [list(row) for row in grid] == [list(row) for row in rows]
+    assert _table(header, grid, "json") == _table(header, rows, "json")
 
 
 class TestDiffusion:
