@@ -52,6 +52,10 @@ OSC_MIN_FLIPS = 0.4
 # candidate farther than a quarter of one advance from the ballistic
 # position (caustics of the free spreading, boundary pile-up) is not one.
 CORRIDOR_FRACTION = 0.25
+# A fitted packet center may sit at most this many sites from the local
+# maximum it was fitted around; farther, the quadratic has latched onto
+# something else.
+MAX_FIT_SHIFT = 3.0
 
 
 def spread_variance(state: SpinState, s0: int, b_q: float) -> float:
@@ -306,6 +310,17 @@ class ModeReport:
     remnant_weight: float
 
 
+def _span_median(values: np.ndarray) -> float:
+    """Median of a non-empty array, bit for bit np.median's value.
+
+    Half the sum of the two middle order statistics (one and the same for
+    an odd length), found by one partial sort.
+    """
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, (lo, hi))
+    return float(0.5 * (part[lo] + part[hi]))
+
+
 def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     """Quadratic fit of ln P over the peak's FWHM window (weighted by P)."""
     n = probs.size
@@ -337,17 +352,17 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     if c2 >= 0.0:
         return None
     center = -c1 / (2.0 * c2)
-    if abs(center - i_peak) > 3.0:
+    if abs(center - i_peak) > MAX_FIT_SHIFT:
         return None
     b_fit = -0.5 * c2
     width = 1.0 / math.sqrt(b_fit)
     peak_log = c0 - c1 * c1 / (4.0 * c2)
     span_lo = max(0, int(math.ceil(center - PACKET_MARGIN_WIDTHS * width)))
     span_hi = min(n - 1, int(math.floor(center + PACKET_MARGIN_WIDTHS * width)))
-    backdrop = float(np.median(probs[span_lo:span_hi + 1]))
-    if backdrop > 0.0 and p_peak < MODE_PROMINENCE * backdrop:
+    span = probs[span_lo:span_hi + 1]  # empty for a center fitted off the chain
+    if span.size and p_peak < MODE_PROMINENCE * _span_median(span):
         return None  # ripple riding on a pedestal, not a freestanding packet
-    weight = float(probs[span_lo:span_hi + 1].sum())
+    weight = float(span.sum())
     return GaussianMode(
         position=center + 1.0,  # 1-based site coordinate
         amplitude=math.sqrt(math.exp(peak_log)),
@@ -359,12 +374,17 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
 def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams) -> ModeReport:
     """Locate ballistic wavepackets outside the central remnant at pulse j.
 
-    Scans each side beyond the remnant half-width for local maxima, fits a
-    Gaussian to each candidate (largest first), sums the probability within
+    Scans each side beyond the remnant half-width for local maxima and
+    takes the 12 highest as candidates (largest first).  It fits a Gaussian
+    to each candidate that lies within the ballistic corridor around the
+    expected centers, center +- 2*pi*j/b_q, widened by the fit's shift
+    bound MAX_FIT_SHIFT (plus one site of slack): a fitted center moves at
+    most that far from its peak, so a candidate outside it could never be
+    accepted and is not fitted.  It sums the probability within
     +-PACKET_MARGIN_WIDTHS fitted widths, and keeps non-overlapping peaks
-    whose weight exceeds MODE_WEIGHT_THRESHOLD and that sit within the
-    ballistic corridor around the expected centers, center +- 2*pi*j/b_q.
-    Finding no such peak is a normal outcome, not an error.
+    whose weight exceeds MODE_WEIGHT_THRESHOLD and whose fitted center
+    sits within the corridor.  Finding no such peak is a normal outcome,
+    not an error.
     """
     if state.n_sites != p.n_sites:
         raise ValueError(f"state has {state.n_sites} sites but params have {p.n_sites}")
@@ -375,6 +395,10 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     offsets = np.arange(n, dtype=np.float64) - center0
     advance = _advance(p)
     corridor = CORRIDOR_FRACTION * advance
+    ballistic = advance * pulse_index
+    # A fit moves its center at most MAX_FIT_SHIFT sites from the peak, so a
+    # peak farther than this from the ballistic position cannot be accepted.
+    reach = corridor + MAX_FIT_SHIFT + 1.0
 
     accepted: list[GaussianMode] = []
     for side in (-1, +1):
@@ -385,13 +409,14 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
         if local_max.size == 0:
             continue
         order = local_max[np.argsort(probs[local_max])[::-1][:12]]
+        order = order[np.abs(np.abs(order - center0) - ballistic) <= reach]
         for i_peak in order:
             if probs[i_peak] <= 0.0:
                 continue
             mode = _fit_gaussian_peak(probs, int(i_peak))
             if mode is None or mode.weight <= MODE_WEIGHT_THRESHOLD:
                 continue
-            if abs(abs(mode.position - p.center) - advance * pulse_index) > corridor:
+            if abs(abs(mode.position - p.center) - ballistic) > corridor:
                 continue
             if any(abs(mode.position - m.position) <= PACKET_MARGIN_WIDTHS * (mode.width + m.width)
                    for m in accepted):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import chain, observables
 from .params import ChainParams
@@ -83,6 +82,10 @@ def _check_eigenbasis() -> float:
 
 
 def _check_propagator_expm() -> float:
+    # The only user of scipy.linalg: importing it here keeps it off the
+    # import path of every experiment but validate.
+    import scipy.linalg
+
     p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
     u = chain.uhc_matrix(p, 1.0)
     e = scipy.linalg.expm(-1j * chain.oracle_hamiltonian(p))

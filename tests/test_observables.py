@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from kickedchain import (
     ipr,
     max_concurrence,
     mode_decay,
+    observables,
     q_measure,
     remnant_halfwidth,
     spread_variance,
@@ -24,6 +26,9 @@ from kickedchain.errors import (
     InsufficientDataError,
     NotLocalizedError,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def normalized_state(weights: np.ndarray) -> SpinState:
@@ -233,6 +238,111 @@ class TestModeDetection:
         assert remnant_halfwidth(3, self.P) == pytest.approx(3.0 * math.pi / self.P.b_q)
         with pytest.raises(ValueError):
             remnant_halfwidth(0, self.P)
+
+
+def fit_every_candidate(state: SpinState, pulse_index: int, p: ChainParams) -> ModeReport:
+    """Reference detection: fits every top-12 candidate, skips none before
+    fitting, and applies the same accept rules afterwards."""
+    probs = np.abs(state.amplitudes) ** 2
+    n = p.n_sites
+    offsets = np.arange(n) - (p.center - 1)
+    ballistic = 2.0 * math.pi / p.b_q * pulse_index
+    corridor = observables.CORRIDOR_FRACTION * 2.0 * math.pi / p.b_q
+    b = remnant_halfwidth(pulse_index, p)
+    accepted: list[GaussianMode] = []
+    for side in (-1, +1):
+        region = np.array([i for i in range(1, n - 1) if offsets[i] * side > b], dtype=np.intp)
+        if region.size < 3:
+            continue
+        rises = probs[region] >= probs[region - 1]
+        local_max = region[rises & (probs[region] >= probs[region + 1])]
+        for i_peak in local_max[np.argsort(probs[local_max])[::-1][:12]]:
+            if probs[i_peak] <= 0.0:
+                continue
+            mode = observables._fit_gaussian_peak(probs, int(i_peak))
+            if mode is None or mode.weight <= observables.MODE_WEIGHT_THRESHOLD:
+                continue
+            if abs(abs(mode.position - p.center) - ballistic) > corridor:
+                continue
+            margin = observables.PACKET_MARGIN_WIDTHS
+            if any(abs(mode.position - m.position) <= margin * (mode.width + m.width)
+                   for m in accepted):
+                continue
+            accepted.append(mode)
+    accepted.sort(key=lambda m: m.position)
+    return ModeReport(pulse_index=pulse_index, modes=tuple(accepted),
+                      remnant_weight=1.0 - sum(m.weight for m in accepted))
+
+
+# (side, edge, shift, width_param, weight): a Gaussian packet centered
+# shift sites beyond the inner (edge -1) or outer (edge +1) corridor edge,
+# or beyond the ballistic position itself (edge 0), on the left (side -1)
+# or right (side +1) of the kick center.
+_packet = st.tuples(
+    st.sampled_from((-1, 1)),
+    st.sampled_from((-1, 0, 1)),
+    st.floats(-2.0 * observables.MAX_FIT_SHIFT - 2.0, 2.0 * observables.MAX_FIT_SHIFT + 2.0),
+    st.floats(0.002, 1.0),
+    st.floats(0.001, 0.3),
+)
+
+
+class TestCandidatePruning:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b_q=st.sampled_from((1.0 / 15.0, 0.1, 0.2, 0.4)),
+        pulse_index=st.integers(1, 6),
+        packets=st.lists(_packet, min_size=1, max_size=3),
+        noise=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A broad packet just inside the outer corridor edge with a narrow
+    # spike 3 sites farther out: the discrete maximum (the spike) lies
+    # 2.7 sites outside the corridor, yet the fit centers on the broad
+    # packet inside it.  A pre-check that ignores the fit's shift bound
+    # skips this accepted packet.
+    @example(b_q=1.0 / 15.0, pulse_index=3,
+             packets=[(1, 1, -0.5, 0.005, 0.3), (1, 1, 2.5, 1.0, 0.005)],
+             noise=0.0, seed=0)
+    def test_matches_fitting_every_candidate(self, b_q, pulse_index, packets, noise, seed):
+        p = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=b_q)
+        advance = 2.0 * math.pi / b_q
+        corridor = observables.CORRIDOR_FRACTION * advance
+        sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
+        weights = [w for *_, w in packets]
+        rng = np.random.default_rng(seed)
+        pedestal = (1.0 - sum(weights)) / p.n_sites
+        probs = pedestal * (1.0 + noise * rng.uniform(-1.0, 1.0, p.n_sites))
+        for side, edge, shift, width_param, weight in packets:
+            position = p.center + side * (advance * pulse_index + edge * corridor + shift)
+            bump = np.exp(-2.0 * width_param * (sites - position) ** 2)
+            probs += weight * bump / bump.sum()
+        state = normalized_state(probs)
+        assert detect_accelerator_modes(state, pulse_index, p) == \
+            fit_every_candidate(state, pulse_index, p)
+
+    def test_example_peak_lies_outside_the_corridor(self):
+        # The explicit example above only guards the shift bound if its
+        # accepted packet's discrete peak is outside corridor + 1 site.
+        p = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
+        advance = 2.0 * math.pi / p.b_q
+        corridor = observables.CORRIDOR_FRACTION * advance
+        broad = p.center + 3 * advance + corridor - 0.5
+        state = packet_state(1401, [(broad, 0.005, 0.3), (broad + 3.0, 1.0, 0.005)])
+        report = detect_accelerator_modes(state, 3, p)
+        assert len(report.modes) == 1
+        assert abs(abs(report.modes[0].position - p.center) - 3 * advance) <= corridor
+        i_peak = int(np.argmax(np.abs(state.amplitudes[900:]))) + 900
+        assert abs(i_peak + 1 - p.center) - 3 * advance > corridor + 1.0
+
+
+class TestBackdrop:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    def test_partition_median_matches_numpy_bit_for_bit(self, size):
+        for values in itertools.product((0.0, 5e-324, 1.0), repeat=size):
+            span = np.array(values)
+            got = np.float64(observables._span_median(span))
+            assert got.tobytes() == np.float64(np.median(span)).tobytes(), values
 
 
 def synthetic_reports(pulses, weights_per_pulse) -> list[ModeReport]:

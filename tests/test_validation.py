@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import kickedchain.chain
@@ -34,6 +39,21 @@ class TestSuite:
         assert "engine_equivalence" in report.failures
         by_name = {c.name: c for c in report.checks}
         assert by_name["propagator_vs_matrix_exponential"].passed
+
+
+def test_scipy_linalg_stays_off_the_import_path():
+    # Only validate's matrix-exponential check needs scipy.linalg; importing
+    # the package must not pay for it, and the suite must still pass.
+    code = (
+        "import sys, kickedchain\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+        "assert kickedchain.validate_suite().passed\n"
+    )
+    src = str(Path(kickedchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestReportTypes:
