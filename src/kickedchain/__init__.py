@@ -69,8 +69,6 @@ from .protocol import (
     run_protocol,
 )
 from .qkr import (
-    AcceleratorWindow,
-    accelerator_window,
     bessel_interior_mask,
     classical_diffusion,
     frs_quadrature,

@@ -6,9 +6,10 @@ heralded pair from ``protocol``.  Every experiment produces flat files in
 the configured output directory plus a ``manifest.json`` echoing the
 configuration, the derived parameters, and a SHA-256 digest of each data
 file.  Data bytes are a pure function of (config, package version):
-tables are rendered from numpy columns with one locale-independent printf
-code per column, JSON keys are sorted, and files are written atomically
-(temp file then rename).  A distribution table, a (period, site) product
+tables are rendered with one locale-independent printf code per column,
+JSON payloads are built from the dataclasses that own their fields and
+written with sorted keys, and files are written atomically (temp file
+then rename).  A distribution table, a (period, site) product
 grid, is rendered one snapshot at a time from a text template of every
 site, built once per table; it yields the same bytes as rendering it
 row by row.
@@ -30,6 +31,8 @@ from .chain import evolve, make_context
 from .config import ExperimentConfig, config_values
 from .errors import ConfigError, NotLocalizedError, PacketsOutOfRangeError
 from .observables import (
+    MODE_DECAY_FIRST_PULSE,
+    MODE_DECAY_MIN_PULSES,
     ModeReport,
     detect_accelerator_modes,
     fit_localization_length,
@@ -41,9 +44,9 @@ from .observables import (
     spread_variance,
     trackable_pulses,
 )
-from .params import ChainParams, derived_params
+from .params import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, ChainParams, derived_params
 from .protocol import run_protocol
-from .qkr import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, accelerator_window, rechester_d
+from .qkr import rechester_d
 from .state import site_state
 from .validation import validate_suite
 
@@ -85,20 +88,19 @@ class _SiteGrid:
             for site, value in zip(sites, row.tolist()):
                 yield period, site, value
 
-    def csv_body(self) -> str:
-        """The rows as ``%d,%d,%.12g`` lines, one ``%`` per snapshot.
+    def csv_text(self, header: str) -> str:
+        """The ``header`` line, then the rows as ``%d,%d,%.12g`` lines.
 
         The site template is built once; each snapshot puts its period in
         place of ``@`` and formats its values with one ``%``.
         """
         n_sites = self.values.shape[1]
         template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
-        return "".join(
-            [
-                template.replace("@", str(period)) % tuple(row.tolist())
-                for period, row in zip(self.periods, self.values)
-            ]
+        rows = (
+            template.replace("@", str(period)) % tuple(row.tolist())
+            for period, row in zip(self.periods, self.values)
         )
+        return "".join([header + "\n", *rows])
 
 
 def _table(header: tuple[str, ...], rows: list[tuple] | _SiteGrid, fmt: str) -> str:
@@ -110,7 +112,7 @@ def _table(header: tuple[str, ...], rows: list[tuple] | _SiteGrid, fmt: str) -> 
     """
     if fmt == "csv":
         if isinstance(rows, _SiteGrid):
-            return ",".join(header) + "\n" + rows.csv_body()
+            return rows.csv_text(",".join(header))
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     payload = {"columns": list(header), "rows": [list(row) for row in rows]}
@@ -122,17 +124,15 @@ def _json_text(payload) -> str:
 
 
 def _mode_report_dict(report: ModeReport) -> dict:
-    return {
-        "pulse": report.pulse_index,
-        "remnant_weight": report.remnant_weight,
-        "modes": [asdict(m) for m in report.modes],
-    }
+    payload = asdict(report)
+    payload["pulse"] = payload.pop("pulse_index")
+    return payload
 
 
-def _trajectory(cfg: ExperimentConfig):
+def _trajectory(cfg: ExperimentConfig, record_every: int | None = None):
     ctx = make_context(cfg.chain)
     start = site_state(cfg.chain.n_sites, cfg.chain.center)
-    return evolve(start, ctx, cfg.n_periods, record_every=cfg.record_every)
+    return evolve(start, ctx, cfg.n_periods, record_every=record_every or cfg.record_every)
 
 
 def _distribution(cfg: ExperimentConfig, traj) -> dict:
@@ -178,20 +178,18 @@ def _run_diffusion(cfg: ExperimentConfig) -> dict:
 
 
 def _run_localization(cfg: ExperimentConfig) -> dict:
-    traj = _trajectory(cfg)
+    # Only the final state is read, so no other period is recorded.  Past
+    # 2**53 periods, rounding of 2**-53 per period may add up to the norm.
+    if cfg.n_periods > 2**53:
+        raise ConfigError(f"localization needs n_periods <= 2**53, got {cfg.n_periods}")
+    final = _trajectory(cfg, record_every=max(cfg.n_periods, 1)).final
     p = cfg.chain
-    probs = np.abs(traj.final.amplitudes) ** 2
+    probs = np.abs(final.amplitudes) ** 2
     rows = list(zip(range(1, probs.size + 1), np.log(np.maximum(probs, LOG_FLOOR)).tolist()))
     try:
-        fit = fit_localization_length(traj.final, p.center)
-        fit_payload = {
-            "localized": True,
-            "length": fit.length,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "window": list(fit.window),
-            "predicted_length": p.beta**2 / 4.0,
-        }
+        fit = fit_localization_length(final, p.center)
+        predicted = derived_params(p).localization_length
+        fit_payload = {"localized": True, **asdict(fit), "predicted_length": predicted}
     except NotLocalizedError as exc:
         fit_payload = {"localized": False, "detail": str(exc)}
     return {
@@ -212,37 +210,30 @@ def _run_entanglement(cfg: ExperimentConfig) -> dict:
 
 def _run_accel(cfg: ExperimentConfig) -> dict:
     last = trackable_pulses(cfg.chain)
-    # Recorded pulses in [2, last]: the multiples of record_every (a lazy
+    # Recorded pulses in [first, last]: the multiples of record_every (a lazy
     # range, so n_periods may be huge) and the final period.
-    n, every = cfg.n_periods, cfg.record_every
-    multiples = range(max(every, 2), min(n, last) + 1, every)
-    final = [n] if 2 <= n <= last and n % every else []
+    n, every, first = cfg.n_periods, cfg.record_every, MODE_DECAY_FIRST_PULSE
+    multiples = range(max(every, first), min(n, last) + 1, every)
+    final = [n] if first <= n <= last and n % every else []
     n_fit = len(multiples) + len(final)
-    if n_fit < 5:
+    if n_fit < MODE_DECAY_MIN_PULSES:
         raise ConfigError(
-            "accel needs at least 5 recorded pulses in [2, "
+            f"accel needs at least {MODE_DECAY_MIN_PULSES} recorded pulses in [{first}, "
             f"{last}] (chain geometry cap); got {n_fit} "
             "from keys 'n_periods'/'record_every'/'n_sites'"
         )
-    window = accelerator_window(derived_params(cfg.chain).k_s)
-    if not window.inside:
+    derived = derived_params(cfg.chain)
+    if not derived.in_accelerator_window:
         raise ConfigError(
             f"accel needs alpha = beta*b_q/(2*pi) in the accelerator-mode window "
-            f"[{ACCEL_ALPHA_MIN:.2f}, {ACCEL_ALPHA_MAX:.2f}]; got alpha = {window.alpha:.4g}"
+            f"[{ACCEL_ALPHA_MIN:.2f}, {ACCEL_ALPHA_MAX:.2f}]; got alpha = {derived.alpha:.4g}"
         )
-    traj = _trajectory(cfg)
-    reports = _mode_reports(cfg, traj)
-    decay = mode_decay(r for r in reports if r.pulse_index >= 2)
+    reports = _mode_reports(cfg, _trajectory(cfg))
+    pulse_range = [multiples[0], (final or multiples)[-1]]
+    decay = {**asdict(mode_decay(reports)), "pulse_range": pulse_range}
     return {
         "modes.json": _json_text({"reports": [_mode_report_dict(r) for r in reports]}),
-        "decay.json": _json_text(
-            {
-                "rate": decay.rate,
-                "oscillatory": decay.oscillatory,
-                "residual": decay.residual,
-                "pulse_range": [multiples[0], (final or multiples)[-1]],
-            }
-        ),
+        "decay.json": _json_text(decay),
     }
 
 

@@ -2,8 +2,10 @@
 and detection of the ballistic accelerator-mode wavepackets.
 
 Every measurement takes a ``SpinState`` and reads ``|a|^2`` itself.  This
-module owns the packet geometry: the advance of 2*pi/b_q sites per period,
-the corridor, the packet margin, ``packet_centers``, ``trackable_pulses``.
+module owns the packet geometry built on the advance of 2*pi/b_q sites per
+period, which ``params.derived_params`` owns as ``hop_distance``: the
+corridor, the packet margin, ``packet_centers``, ``trackable_pulses``, and
+the pulse window of the decay fit.
 
 Site coordinates here are 1-based, matching the chain convention; fitted
 peak positions are real-valued in the same coordinate.
@@ -24,7 +26,7 @@ from .errors import (
     PacketsOutOfRangeError,
     PoorFitWarning,
 )
-from .params import ChainParams
+from .params import ChainParams, derived_params
 from .state import SpinState
 
 # Localization-fit window rules: start 2 sites off-peak, stop at the first
@@ -56,6 +58,10 @@ CORRIDOR_FRACTION = 0.25
 # maximum it was fitted around; farther, the quadratic has latched onto
 # something else.
 MAX_FIT_SHIFT = 3.0
+# The packet-pair decay fit reads the pulses from MODE_DECAY_FIRST_PULSE on
+# and needs at least MODE_DECAY_MIN_PULSES of them with detected modes.
+MODE_DECAY_FIRST_PULSE = 2
+MODE_DECAY_MIN_PULSES = 5
 
 
 def spread_variance(state: SpinState, s0: int, b_q: float) -> float:
@@ -231,11 +237,6 @@ def max_concurrence(state: SpinState) -> float:
     return float(4.0 * top[0] * top[1])
 
 
-def _advance(p: ChainParams) -> float:
-    # Sites a transporting packet moves per period.
-    return 2.0 * math.pi / p.b_q
-
-
 def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:
     """Ballistic packet centers center -+ 2*pi*j/b_q after ``pulse_index`` pulses.
 
@@ -247,7 +248,7 @@ def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:
         raise ValueError("pulse_index must be >= 1")
     if p.b_q <= 0.0:
         raise ValueError("packet geometry needs b_q > 0")
-    hop = _advance(p)
+    hop = derived_params(p).hop_distance
     s_right = p.center + hop * pulse_index
     s_left = p.center - hop * pulse_index
     margin = PACKET_MARGIN_WIDTHS / math.sqrt(p.b_q)
@@ -268,7 +269,7 @@ def trackable_pulses(p: ChainParams) -> int:
     reports stop there.  Without a finite advance (b_q = 0, or so small
     that 2*pi/b_q overflows) no packet travels: 0.
     """
-    advance = _advance(p) if p.b_q > 0.0 else math.inf
+    advance = derived_params(p).hop_distance
     if not math.isfinite(advance):
         return 0
     margin = CORRIDOR_FRACTION * advance + PACKET_MARGIN_WIDTHS / math.sqrt(p.b_q)
@@ -348,7 +349,8 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
         return None
     x = window[good].astype(np.float64)
     y = np.log(vals[good])
-    c2, c1, c0 = np.polyfit(x, y, 2, w=vals[good])
+    # full=True reports a rank-deficient fit instead of warning.
+    (c2, c1, c0), *_ = np.polyfit(x, y, 2, w=vals[good], full=True)
     if c2 >= 0.0:
         return None
     center = -c1 / (2.0 * c2)
@@ -393,7 +395,7 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     n = p.n_sites
     center0 = p.center - 1  # 0-based
     offsets = np.arange(n, dtype=np.float64) - center0
-    advance = _advance(p)
+    advance = derived_params(p).hop_distance
     corridor = CORRIDOR_FRACTION * advance
     ballistic = advance * pulse_index
     # A fit moves its center at most MAX_FIT_SHIFT sites from the peak, so a
@@ -445,22 +447,22 @@ def mode_decay(reports: Iterable[ModeReport]) -> ModeDecayFit:
     """Exponential fit of packet-pair weight versus pulse index.
 
     Tracks the two heaviest fitted packets per pulse (the counter-propagating
-    pair, immune to transient fringe detections), with weight(j) ~ e^{-rate*j}.
+    pair, immune to transient fringe detections), with weight(j) ~ e^{-rate*j},
+    over the reports from pulse MODE_DECAY_FIRST_PULSE on.
     ``oscillatory`` is set when the residuals of the log-linear fit beat
     around the trend instead of scattering (their signs alternate and their
     size is well above numerical noise).
     """
     pts = []
     for r in reports:
-        if not r.modes:
+        if not r.modes or r.pulse_index < MODE_DECAY_FIRST_PULSE:
             continue
         top = sorted((m.weight for m in r.modes), reverse=True)[:2]
         pts.append((r.pulse_index, sum(top)))
     pts = [(j, w) for j, w in pts if w > 0.0]
-    if len(pts) < 5:
-        raise InsufficientDataError(
-            f"mode-decay fit needs >= 5 pulses with detected modes, found {len(pts)}"
-        )
+    if len(pts) < MODE_DECAY_MIN_PULSES:
+        raise InsufficientDataError(f"mode-decay fit needs >= {MODE_DECAY_MIN_PULSES} pulses "
+                                    f"with detected modes, found {len(pts)}")
     x = np.array([q[0] for q in pts], dtype=np.float64)
     y = np.log(np.array([q[1] for q in pts], dtype=np.float64))
     slope, intercept = np.polyfit(x, y, 1)

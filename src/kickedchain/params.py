@@ -10,8 +10,11 @@ the physics:
 
 Their product K_s = beta * b_q is the stochasticity parameter of the
 equivalent kicked rotor, with b_q playing the role of the effective
-Planck constant.  The chain is always open; the ring that matches the
-rotor exactly lives in ``qkr`` and takes (n_sites, beta) directly.
+Planck constant.  ``derived_params`` owns every number implied by them:
+alpha = K_s/2*pi and its accelerator-mode window, the advance of 2*pi/b_q
+sites per period, the localization length and the break time.  The chain
+is always open; the ring that matches the rotor exactly lives in ``qkr``
+and takes (n_sites, beta) directly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from dataclasses import dataclass
 
 # Past 2**53 a float phase has no digit left below 2*pi.
 MAX_PHASE = 2.0**53
+# Stable first-order accelerator modes exist for alpha = K/2pi in this window
+# (inclusive); outside it the kicked dynamics has no ballistic island pair.
+ACCEL_ALPHA_MIN = 1.03
+ACCEL_ALPHA_MAX = 1.10
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,11 @@ class DerivedParams:
     hop_distance: float
     localization_length: float
     break_time: float
+
+    @property
+    def in_accelerator_window(self) -> bool:
+        """Whether alpha lies in [ACCEL_ALPHA_MIN, ACCEL_ALPHA_MAX]."""
+        return ACCEL_ALPHA_MIN <= self.alpha <= ACCEL_ALPHA_MAX
 
 
 def derived_params(p: ChainParams) -> DerivedParams:

@@ -15,14 +15,15 @@ functions, so their agreement checks the taps ``evolve`` uses.  The
 reference matrices take the plain numbers they use: a size (momentum
 states or ring sites) and the Bessel argument beta.  The classical limit
 is the standard map with stochasticity K = beta * b_q, iterated on whole
-ensembles by ``standard_map``.
+ensembles by ``standard_map``.  Where K places the accelerator modes,
+alpha = K/2*pi and its stable window, is a derived parameter of the chain
+(``params.DerivedParams.in_accelerator_window``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
@@ -31,10 +32,6 @@ from .chain import ring_taps
 from .errors import QuadratureConvergenceError, WeakChaosWarning
 from .params import ChainParams
 
-# Stable first-order accelerator modes exist for alpha = K/2pi in this window
-# (inclusive); outside it the kicked dynamics has no ballistic island pair.
-ACCEL_ALPHA_MIN = 1.03
-ACCEL_ALPHA_MAX = 1.10
 # Trapezoid intervals of frs_quadrature; its refinement check reruns at half.
 QUADRATURE_PANELS = 2**14
 
@@ -178,16 +175,3 @@ def rechester_d(kick_strength: float) -> float:
     j2 = float(jv(2, kick_strength))
     return 0.5 * kick_strength**2 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2)
 
-
-@dataclass(frozen=True)
-class AcceleratorWindow:
-    alpha: float
-    inside: bool
-
-
-def accelerator_window(kick_strength: float) -> AcceleratorWindow:
-    """Where K sits relative to the stable accelerator-mode window."""
-    if not math.isfinite(kick_strength) or kick_strength < 0.0:
-        raise ValueError(f"kick_strength must be nonnegative, got {kick_strength!r}")
-    alpha = kick_strength / (2.0 * math.pi)
-    return AcceleratorWindow(alpha=alpha, inside=ACCEL_ALPHA_MIN <= alpha <= ACCEL_ALPHA_MAX)

@@ -9,7 +9,7 @@ a failure here means a real regression, not noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,15 +56,7 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "deviation": c.deviation,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
         }
 
 

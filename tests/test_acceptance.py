@@ -19,7 +19,6 @@ import scipy.linalg
 from kickedchain import (
     ChainParams,
     SpinState,
-    accelerator_window,
     apply_overrides,
     bessel_interior_mask,
     central_measurement,
@@ -195,7 +194,7 @@ def test_criterion_06_dynamical_localization():
 def test_criterion_07_mode_decay_rate_and_oscillation():
     t0 = time.perf_counter()
     p10 = ChainParams(n_sites=2701, center=1351, beta=200.0 / 3.0, b_q=0.1)
-    assert accelerator_window(derived_params(p10).k_s).inside
+    assert derived_params(p10).in_accelerator_window
     traj = evolve(site_state(2701, 1351), make_context(p10), 20)
     reports = [
         detect_accelerator_modes(state, period, p10)

@@ -4,6 +4,7 @@ stderr, never a traceback."""
 
 import contextlib
 import io
+import json
 import tempfile
 
 import pytest
@@ -77,6 +78,29 @@ def test_snapshot_budget_exits_two(tmp_path, capsys):
     err = _one_line_error(capsys)
     assert err.startswith("capacity error: ")
     assert err.endswith("increase record_every\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_localization_records_only_the_final_state(tmp_path, capsys):
+    # Recording all 5001 snapshots x 4001 sites would pass the 2e7-amplitude
+    # budget; localization reads only the final state, so it runs.
+    code = main([
+        "localization", "--set", "n_sites=4001", "--set", "center=2001", "--set", "beta=20",
+        "--set", "n_periods=5000", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 0, capsys.readouterr().err
+    fit = json.loads((tmp_path / "run" / "fit.json").read_text())
+    assert fit["localized"] and fit["predicted_length"] == 100.0
+    assert len((tmp_path / "run" / "profile.csv").read_text().splitlines()) == 4002
+
+
+def test_localization_past_two_to_the_53_periods_is_a_config_error(tmp_path, capsys):
+    code = main(["localization", "--set", f"n_periods={2**53 + 1}",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert _one_line_error(capsys) == (
+        f"config error: localization needs n_periods <= 2**53, got {2**53 + 1}\n"
+    )
     assert not (tmp_path / "run").exists()
 
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from kickedchain import (
+    DEFAULTS,
     ConfigError,
     apply_overrides,
     config_values,
@@ -86,3 +89,11 @@ class TestRoundTrip:
             "experiment", "n_sites", "center", "beta", "b_q",
             "n_periods", "record_every", "output_dir", "format",
         }
+
+
+def test_readme_keys_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()]
+    assert keys == list(DEFAULTS)
+    assert config_values(parse_config(block)) == DEFAULTS

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,16 @@ class TestCandidatePruning:
         assert abs(i_peak + 1 - p.center) - 3 * advance > corridor + 1.0
 
 
+def test_sharp_peak_fit_raises_no_warning():
+    # A peak far narrower than one site leaves the quadratic fit rank
+    # deficient; the fit is refused without a numpy RankWarning.
+    x = np.arange(41, dtype=np.float64)
+    probs = np.exp(-60.0 * (x - 20.0) ** 2) + 1e-20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert observables._fit_gaussian_peak(probs, 20) is None
+
+
 class TestBackdrop:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
     def test_partition_median_matches_numpy_bit_for_bit(self, size):
@@ -377,6 +388,12 @@ class TestModeDecay:
         reports = synthetic_reports(pulses, [math.exp(-j / 24.0) for j in pulses])
         with pytest.raises(InsufficientDataError):
             mode_decay(reports)
+
+    def test_reads_pulses_from_the_second_on(self):
+        pulses = list(range(1, 21))
+        weights = [0.9] + [math.exp(-j / 24.0) for j in pulses[1:]]
+        fit = mode_decay(synthetic_reports(pulses, weights))
+        assert fit.rate == pytest.approx(1.0 / 24.0, rel=1e-9)
 
     def test_skips_empty_reports(self):
         pulses = list(range(2, 21))

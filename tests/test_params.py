@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -70,6 +71,30 @@ class TestDerivedParams:
         d = derived_params(p)
         assert d.k_s == 0.0
         assert math.isinf(d.hop_distance)
+
+    def test_window_membership_is_not_a_field(self):
+        # The manifest's derived block is asdict(derived_params(p)).
+        assert "in_accelerator_window" not in asdict(derived_params(FIG1))
+
+
+def window_of(kick_strength: float):
+    # b_q = 1, so k_s is the kick strength bit for bit.
+    return derived_params(ChainParams(n_sites=100, center=50, beta=kick_strength, b_q=1.0))
+
+
+class TestAcceleratorWindow:
+    def test_fig1_inside(self):
+        d = window_of(20.0 / 3.0)
+        assert d.in_accelerator_window
+        assert d.alpha == pytest.approx(1.0610329539459689)
+
+    def test_outside_values(self):
+        assert not window_of(5.0).in_accelerator_window
+        assert not window_of(7.5).in_accelerator_window
+
+    def test_boundaries_inclusive(self):
+        assert window_of(1.03 * 2.0 * math.pi).in_accelerator_window
+        assert window_of(1.10 * 2.0 * math.pi).in_accelerator_window
 
 
 class TestSpinState:

@@ -6,7 +6,6 @@ import scipy.special
 
 from kickedchain import (
     ChainParams,
-    accelerator_window,
     bessel_interior_mask,
     classical_diffusion,
     frs_quadrature,
@@ -200,18 +199,3 @@ class TestClassicalDiffusion:
             classical_diffusion(10.0, ensemble=1000, steps=5)
         with pytest.raises(ValueError):
             classical_diffusion(-1.0, ensemble=1000, steps=10)
-
-
-class TestAcceleratorWindow:
-    def test_fig1_inside(self):
-        w = accelerator_window(20.0 / 3.0)
-        assert w.inside
-        assert w.alpha == pytest.approx(1.0610329539459689)
-
-    def test_outside_values(self):
-        assert not accelerator_window(5.0).inside
-        assert not accelerator_window(7.5).inside
-
-    def test_boundaries_inclusive(self):
-        assert accelerator_window(1.03 * 2.0 * math.pi).inside
-        assert accelerator_window(1.10 * 2.0 * math.pi).inside
