@@ -25,6 +25,14 @@ taps come from an inverse FFT of the ring eigenphases (``ring_taps``),
 never from Bessel functions; ``qkr.ring_propagator`` is built from the
 same taps, so the Bessel checks against it see the production hop.
 
+The banded hop moves amplitude at most P sites per period, so a state
+that starts on a few sites has a strict light cone.  Until the cone is
+wider than half the chain, ``evolve`` hops only a segment that holds it: the
+segment's inner edges mirror-pad sites the cone has not reached, which
+are exactly zero, and its clipped edges are the chain's open ends, so
+the segment hop is the full hop up to FFT rounding and the sites outside
+the cone stay exactly zero.
+
 The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
 built from them here (``uhc_matrix``, ``oracle_hamiltonian``), are
@@ -123,23 +131,27 @@ def ring_taps(ring: int, beta: float) -> np.ndarray:
     return ifft(np.exp(-1j * beta * (1.0 - np.cos(2.0 * np.pi * k / ring))))
 
 
-def _tap_spectrum(n_sites: int, beta: float) -> tuple[int, np.ndarray]:
-    """Mirror padding P and the FFT of the hop taps |d| <= P (see the module
-    docstring): the taps are the inverse FFT of the ring eigenphases, on a
-    ring of the FFT length when the band W < N, else on the 2N ring."""
+def _band_taps(n_sites: int, beta: float) -> np.ndarray:
+    """The hop taps d = -P..P (entry d + P; see the module docstring): the
+    inverse FFT of the ring eigenphases, on a ring of the full chain's FFT
+    length when the band W < N, else on the 2N ring."""
     band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
     pad = min(band, n_sites)
-    length = next_fast_len(n_sites + 2 * pad)
-    ring = length if band < n_sites else 2 * n_sites
-    taps = ring_taps(ring, beta)
-    d = np.arange(-pad, pad + 1)
-    h = np.zeros(length, dtype=np.complex128)
-    h[d % length] = taps[d % ring]
+    ring = next_fast_len(n_sites + 2 * pad) if band < n_sites else 2 * n_sites
+    taps = ring_taps(ring, beta)[np.arange(-pad, pad + 1) % ring]
     if pad == n_sites:
         # d = +N and -N are one offset of the 2N ring: split it evenly so
         # the taps stay symmetric and conj(spectrum) is the inverse hop.
-        h[[n_sites, -n_sites]] *= 0.5
-    return pad, fft(h)
+        taps[[0, -1]] *= 0.5
+    return taps
+
+
+def _tap_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
+    """FFT of the band ``taps`` zero-padded to ``length``, tap d at d mod length."""
+    pad = taps.size // 2
+    h = np.zeros(length, dtype=np.complex128)
+    h[np.arange(-pad, pad + 1) % length] = taps
+    return fft(h)
 
 
 def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -165,10 +177,12 @@ def kick_phases(p: ChainParams) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EvolutionContext:
     """Parameters plus the read-only one-period factors they imply: the
-    hop's mirror padding and tap spectrum, and the site kick factors."""
+    hop's mirror padding, its band taps and their spectrum at the full
+    chain's FFT length, and the site kick factors."""
 
     params: ChainParams
     pad: int
+    band_taps: np.ndarray
     tap_spectrum: np.ndarray
     kick_factors: np.ndarray
 
@@ -179,11 +193,15 @@ class EvolutionContext:
 
 def make_context(p: ChainParams) -> EvolutionContext:
     """Precompute one period's factors."""
-    pad, spectrum = _tap_spectrum(p.n_sites, p.beta)
+    taps = _band_taps(p.n_sites, p.beta)
+    pad = taps.size // 2
+    spectrum = _tap_spectrum(taps, next_fast_len(p.n_sites + 2 * pad))
     kick = kick_phases(p)
-    spectrum.setflags(write=False)
-    kick.setflags(write=False)
-    return EvolutionContext(params=p, pad=pad, tap_spectrum=spectrum, kick_factors=kick)
+    for arr in (taps, spectrum, kick):
+        arr.setflags(write=False)
+    return EvolutionContext(
+        params=p, pad=pad, band_taps=taps, tap_spectrum=spectrum, kick_factors=kick
+    )
 
 
 def _check_sites(state: SpinState, p: ChainParams) -> None:
@@ -232,6 +250,19 @@ def evolve(
     (MemoryBudgetError otherwise).  Each period is one banded ring-kernel
     hop and one kick on the raw amplitude array; only recorded snapshots
     become SpinState values.
+
+    The hop moves amplitude at most P sites per period, so after j periods
+    the state vanishes outside its initial support grown by P*j sites on
+    each side.  While that light cone, clipped to the chain, is no wider
+    than half the chain, each period hops only a segment that holds it and
+    writes back only the cone, so the sites outside it stay exactly zero.
+    This is the full hop up to FFT rounding: at a segment edge inside the
+    chain the mirror padding copies P sites the cone has not reached yet,
+    all zero, and at a clipped edge it is the chain's own open end.
+    Segment lengths climb the doubling ladder ceil(N / 2**k), so one call
+    builds at most about log2(N/P) tap spectra.  Once the cone is wider
+    than half the chain (or P = N, the folded band), every period hops the
+    full chain.
     """
     p = ctx.params
     _check_sites(initial, p)
@@ -247,12 +278,41 @@ def evolve(
             f"{MAX_SNAPSHOT_VALUES} stored amplitudes; increase record_every"
         )
 
-    pad, spectrum, kick = ctx.pad, ctx.tap_spectrum, ctx.kick_factors
-    buf = ctx.hop_buffer()
+    n, pad, kick = p.n_sites, ctx.pad, ctx.kick_factors
     periods = [0]
     states = [initial]
     amps = initial.amplitudes
-    for j in range(1, n_periods + 1):
+    done = 0
+    if pad < n:
+        support = np.flatnonzero(amps)
+        lo, hi = int(support[0]), int(support[-1]) + 1
+        work = amps.copy()
+        seg = 0
+        while done < n_periods:
+            reach = pad * (done + 1)
+            c0, c1 = max(lo - reach, 0), min(hi + reach, n)
+            if c1 - c0 > seg:
+                # The ladder's rungs are ceil(N / 2**k); take the shortest
+                # that holds the cone.
+                k = (n // (c1 - c0)).bit_length() - 1
+                seg = -(-n >> k)
+                if k == 0:
+                    break
+                length = next_fast_len(seg + 2 * pad)
+                spectrum = _tap_spectrum(ctx.band_taps, length)
+                buf = np.zeros(length, dtype=np.complex128)
+            s0 = min(c0, n - seg)
+            hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf)
+            # Past the cone the hop leaves only rounding: keep the zeros.
+            np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
+            done += 1
+            if done % record_every == 0 or done == n_periods:
+                periods.append(done)
+                states.append(SpinState(work))
+        amps = work
+
+    spectrum, buf = ctx.tap_spectrum, ctx.hop_buffer()
+    for j in range(done + 1, n_periods + 1):
         amps = _ring_hop(amps, pad, spectrum, buf) * kick
         if j % record_every == 0 or j == n_periods:
             periods.append(j)

@@ -4,7 +4,8 @@
 
 Exit codes: 0 success, 1 configuration, output-path or other run error
 (such as too few detected modes for a fit), 2 snapshot memory budget
-exceeded, 3 validation-suite failure.  Every error is one line on stderr.
+exceeded, 3 validation-suite failure, 130 interrupted (Ctrl-C).  Every
+error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
     for filename, digest in manifest.files.items():
         print(f"wrote {os.path.join(manifest.output_dir, filename)}  sha256={digest[:12]}")

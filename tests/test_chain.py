@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.fft import next_fast_len
+from scipy.special import jv
 
 from kickedchain import (
     CapacityError,
@@ -202,3 +203,113 @@ class TestOnePath:
         u = kick_phases(p)[:, None] * uhc_matrix(p, 1.0)
         want = u @ (u @ (u @ state.amplitudes))
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("beta,bound", [(1.0, 1e-16), (100.0, 1e-16), (2e4, 1e-16), (1e7, 5e-15)])
+def test_dropped_taps_below_stated_bound(beta, bound):
+    # The module docstring's claim, from Bessel functions rather than the
+    # taps evolve uses: sum over |d| > W of |J_d(beta)| (both signs of d).
+    band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
+    d = np.arange(band + 1, band + 4001)
+    assert 2.0 * np.sum(np.abs(jv(d, beta))) < bound
+
+
+def _sites_state(n_sites, sites, seed=0):
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(n_sites, dtype=np.complex128)
+    amps[sites] = rng.normal(size=len(sites)) + 1j * rng.normal(size=len(sites))
+    return SpinState(amps / np.linalg.norm(amps))
+
+
+def _full_chain_periods(start, ctx, n_periods):
+    """Amplitudes at periods 0..n_periods from one _ring_hop over all N
+    sites and the kick per period (the loop evolve runs once the light
+    cone covers the chain)."""
+    amps, out = start.amplitudes, [start.amplitudes]
+    buf = ctx.hop_buffer()
+    for _ in range(n_periods):
+        amps = _ring_hop(amps, ctx.pad, ctx.tap_spectrum, buf) * ctx.kick_factors
+        out.append(amps)
+    return out
+
+
+N_CONE = 2001
+CONE_STARTS = {
+    "first site": [0],
+    "last site": [N_CONE - 1],
+    "centre": [1000],
+    "off centre": [612],
+    "several sites": [700, 703, 704, 760],
+    "both ends": [0, 1000, N_CONE - 1],
+}
+
+
+class TestLightCone:
+    """evolve hops only the segment the excitation can have reached; it
+    must agree with the full-chain loop and keep exact zeros outside."""
+
+    @pytest.mark.parametrize("where", sorted(CONE_STARTS))
+    def test_matches_full_chain_loop(self, where):
+        # W = 78 at beta = 20: the cone grows past half the chain within
+        # 6-12 periods, so snapshots 3, 6 (and 9, 12 from an end) are taken
+        # while evolve still hops a segment.
+        p = ChainParams(n_sites=N_CONE, center=1001, beta=20.0, b_q=0.3)
+        ctx = make_context(p)
+        start = _sites_state(N_CONE, CONE_STARTS[where])
+        traj = evolve(start, ctx, 14, record_every=3)
+        assert traj.periods == (0, 3, 6, 9, 12, 14)
+        want = _full_chain_periods(start, ctx, 14)
+
+        support = np.flatnonzero(start.amplitudes)
+        lo, hi = support[0], support[-1] + 1
+        site = np.arange(N_CONE)
+        exact_periods = []
+        for j, state in traj:
+            assert np.max(np.abs(state.amplitudes - want[j])) < 1e-13
+            cone_lo, cone_hi = lo - ctx.pad * j, hi + ctx.pad * j
+            if min(cone_hi, N_CONE) - max(cone_lo, 0) <= N_CONE // 2:
+                outside = (site < cone_lo) | (site >= cone_hi)
+                assert np.all(state.amplitudes[outside] == 0.0)
+                exact_periods.append(j)
+        if where != "both ends":
+            assert 3 in exact_periods
+
+        back = traj.final
+        for _ in range(14):
+            back = step_period_inverse(back, ctx)
+        assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-12
+
+
+def _mirror_ring_periods(start, p, n_periods):
+    """Exact open-chain periods with no band: the hop is the 2N ring's,
+    ifft(fft([a, a[::-1]]) * exp(-i*beta*(1 - cos(pi*k/N))))[:N] with k
+    folded to min(k, 2N - k), then the kick."""
+    n = p.n_sites
+    k = np.arange(2 * n)
+    k = np.minimum(k, 2 * n - k)
+    hop = np.exp(-1j * p.beta * (1.0 - np.cos(np.pi * k / n)))
+    kick = np.exp(-0.5j * p.b_q * (np.arange(n) - (p.center - 1)) ** 2.0)
+    amps, out = start.amplitudes, [start.amplitudes]
+    for _ in range(n_periods):
+        amps = np.fft.ifft(np.fft.fft(np.concatenate([amps, amps[::-1]])) * hop)[:n] * kick
+        out.append(amps)
+    return out
+
+
+# Fixed before any run: the l2 error may grow by (1 + beta) * eps per
+# period (the phases beta*(1 - cos) carry beta*eps, the FFTs eps) times
+# this constant.
+ORACLE_C = 10.0
+
+
+@pytest.mark.parametrize("n_sites", [1401, 65537])
+def test_evolve_matches_mirror_ring_oracle(n_sites):
+    beta = 100.0
+    p = ChainParams(n_sites=n_sites, center=(n_sites + 1) // 2, beta=beta,
+                    b_q=2.0 * np.pi * 1.06 / beta)
+    start = site_state(n_sites, p.center)
+    traj = evolve(start, make_context(p), 5)
+    want = _mirror_ring_periods(start, p, 5)
+    eps = np.finfo(np.float64).eps
+    for j, state in traj:
+        assert np.linalg.norm(state.amplitudes - want[j]) <= ORACLE_C * (1.0 + beta) * eps * j

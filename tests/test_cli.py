@@ -1,6 +1,6 @@
 """Exit-code contract of ``kickedchain``: invalid input ends in exit 1, a
-run past the snapshot memory budget in exit 2, each with one line on
-stderr, never a traceback."""
+run past the snapshot memory budget in exit 2, an interrupt in exit 130,
+each with one line on stderr, never a traceback."""
 
 import contextlib
 import io
@@ -9,6 +9,7 @@ import tempfile
 
 import pytest
 
+from kickedchain import cli
 from kickedchain.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -127,6 +128,17 @@ def test_package_error_during_a_run_is_one_line(tmp_path, capsys):
     assert code == 1
     err = _one_line_error(capsys)
     assert err.startswith("run error: InsufficientDataError: ")
+
+
+def test_interrupt_is_one_line_and_exit_130(monkeypatch, tmp_path, capsys):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    code = main(["evolve", *TINY, "--out", str(tmp_path / "run")])
+    assert code == 130
+    assert _one_line_error(capsys) == "interrupted\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_bad_positional_experiment_is_a_config_error(tmp_path, capsys):
