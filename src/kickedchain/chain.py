@@ -26,8 +26,9 @@ never from Bessel functions; ``qkr.ring_propagator`` is built from the
 same taps, so the Bessel checks against it see the production hop.
 
 The banded hop moves amplitude at most P sites per period, so a state
-that starts on a few sites has a strict light cone.  Until the cone is
-wider than half the chain, ``evolve`` hops only a segment that holds it: the
+that starts on a few sites has a strict light cone.  ``evolve`` hops the
+shortest segment on the ladder ceil(N/2**k) that holds the cone.  Rung 0
+is the whole chain and writes back every site.  Below rung 0 the
 segment's inner edges mirror-pad sites the cone has not reached, which
 are exactly zero, and its clipped edges are the chain's open ends, so
 the segment hop is the full hop up to FFT rounding and the sites outside
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .errors import CapacityError, DimensionMismatchError, MemoryBudgetError
+from .errors import CapacityError, MemoryBudgetError
 from .params import ChainParams
-from .state import SpinState
+from .state import SpinState, check_sites
 
 DENSE_CAP = 4096
 MAX_SNAPSHOT_VALUES = 20_000_000
@@ -177,46 +178,33 @@ def kick_phases(p: ChainParams) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EvolutionContext:
     """Parameters plus the read-only one-period factors they imply: the
-    hop's mirror padding, its band taps and their spectrum at the full
-    chain's FFT length, and the site kick factors."""
+    hop's mirror padding, its band taps and the site kick factors.  Each
+    segment length's tap spectrum is built from the band taps where it is
+    needed."""
 
     params: ChainParams
     pad: int
     band_taps: np.ndarray
-    tap_spectrum: np.ndarray
     kick_factors: np.ndarray
-
-    def hop_buffer(self) -> np.ndarray:
-        """Zeroed work array for ``_ring_hop``, one per evolution."""
-        return np.zeros(self.tap_spectrum.size, dtype=np.complex128)
 
 
 def make_context(p: ChainParams) -> EvolutionContext:
     """Precompute one period's factors."""
     taps = _band_taps(p.n_sites, p.beta)
-    pad = taps.size // 2
-    spectrum = _tap_spectrum(taps, next_fast_len(p.n_sites + 2 * pad))
     kick = kick_phases(p)
-    for arr in (taps, spectrum, kick):
+    for arr in (taps, kick):
         arr.setflags(write=False)
-    return EvolutionContext(
-        params=p, pad=pad, band_taps=taps, tap_spectrum=spectrum, kick_factors=kick
-    )
-
-
-def _check_sites(state: SpinState, p: ChainParams) -> None:
-    if state.n_sites != p.n_sites:
-        raise DimensionMismatchError(
-            f"state has {state.n_sites} sites but params have {p.n_sites}"
-        )
+    return EvolutionContext(params=p, pad=taps.size // 2, band_taps=taps, kick_factors=kick)
 
 
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
     """Exact inverse of one period of ``evolve``: conjugate kick, then hop
     backwards with the conjugate tap spectrum (the taps are symmetric in d)."""
-    _check_sites(state, ctx.params)
+    check_sites(state, ctx.params.n_sites)
     amps = state.amplitudes * np.conj(ctx.kick_factors)
-    return SpinState(_ring_hop(amps, ctx.pad, np.conj(ctx.tap_spectrum), ctx.hop_buffer()))
+    length = next_fast_len(amps.size + 2 * ctx.pad)
+    spectrum = np.conj(_tap_spectrum(ctx.band_taps, length))
+    return SpinState(_ring_hop(amps, ctx.pad, spectrum, np.zeros(length, dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -253,19 +241,19 @@ def evolve(
 
     The hop moves amplitude at most P sites per period, so after j periods
     the state vanishes outside its initial support grown by P*j sites on
-    each side.  While that light cone, clipped to the chain, is no wider
-    than half the chain, each period hops only a segment that holds it and
-    writes back only the cone, so the sites outside it stay exactly zero.
-    This is the full hop up to FFT rounding: at a segment edge inside the
-    chain the mirror padding copies P sites the cone has not reached yet,
-    all zero, and at a clipped edge it is the chain's own open end.
-    Segment lengths climb the doubling ladder ceil(N / 2**k), so one call
-    builds at most about log2(N/P) tap spectra.  Once the cone is wider
-    than half the chain (or P = N, the folded band), every period hops the
-    full chain.
+    each side.  Each period hops the shortest segment on the ladder
+    ceil(N / 2**k) that holds this light cone, clipped to the chain, so one
+    call builds at most about log2(N/P) + 1 tap spectra.  Rung 0 (k = 0) is
+    the whole chain and writes back every site; every cone wider than half
+    the chain hops there, from the first period for a start that spans the
+    chain or for the folded band (P = N).  Below rung 0 only the cone is
+    written back, so the sites outside it stay exactly zero.  This is the
+    full hop up to FFT rounding: at a segment edge inside the chain the
+    mirror padding copies P sites the cone has not reached yet, all zero,
+    and at a clipped edge it is the chain's own open end.
     """
     p = ctx.params
-    _check_sites(initial, p)
+    check_sites(initial, p.n_sites)
     if n_periods < 0:
         raise ValueError("n_periods must be nonnegative")
     if record_every < 1:
@@ -279,42 +267,33 @@ def evolve(
         )
 
     n, pad, kick = p.n_sites, ctx.pad, ctx.kick_factors
+    support = np.flatnonzero(initial.amplitudes)
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    work = initial.amplitudes.copy()
     periods = [0]
     states = [initial]
-    amps = initial.amplitudes
-    done = 0
-    if pad < n:
-        support = np.flatnonzero(amps)
-        lo, hi = int(support[0]), int(support[-1]) + 1
-        work = amps.copy()
-        seg = 0
-        while done < n_periods:
-            reach = pad * (done + 1)
-            c0, c1 = max(lo - reach, 0), min(hi + reach, n)
+    seg = 0
+    for j in range(1, n_periods + 1):
+        if seg < n:
+            # The ladder's rungs are ceil(N / 2**k); take the shortest that
+            # holds the cone.  Rung 0 is the whole chain and writes back
+            # every site, the hop's rounding past the cone included; once
+            # there, the segment no longer changes.
+            c0, c1 = max(lo - pad * j, 0), min(hi + pad * j, n)
             if c1 - c0 > seg:
-                # The ladder's rungs are ceil(N / 2**k); take the shortest
-                # that holds the cone.
                 k = (n // (c1 - c0)).bit_length() - 1
                 seg = -(-n >> k)
-                if k == 0:
-                    break
                 length = next_fast_len(seg + 2 * pad)
                 spectrum = _tap_spectrum(ctx.band_taps, length)
                 buf = np.zeros(length, dtype=np.complex128)
+            if seg == n:
+                c0, c1 = 0, n
             s0 = min(c0, n - seg)
-            hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf)
-            # Past the cone the hop leaves only rounding: keep the zeros.
-            np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
-            done += 1
-            if done % record_every == 0 or done == n_periods:
-                periods.append(done)
-                states.append(SpinState(work))
-        amps = work
-
-    spectrum, buf = ctx.tap_spectrum, ctx.hop_buffer()
-    for j in range(done + 1, n_periods + 1):
-        amps = _ring_hop(amps, pad, spectrum, buf) * kick
+        hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf)
+        # Below rung 0, past the cone the hop leaves only rounding: keep
+        # the zeros.
+        np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
         if j % record_every == 0 or j == n_periods:
             periods.append(j)
-            states.append(SpinState(amps))
+            states.append(SpinState(work))
     return Trajectory(periods=tuple(periods), states=tuple(states))

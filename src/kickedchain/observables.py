@@ -27,7 +27,7 @@ from .errors import (
     PoorFitWarning,
 )
 from .params import ChainParams, derived_params
-from .state import SpinState
+from .state import SpinState, check_sites
 
 # Localization-fit window rules: start 2 sites off-peak, stop at the first
 # probability below FIT_FLOOR, never closer than EDGE_MARGIN sites to a chain
@@ -388,8 +388,7 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     sits within the corridor.  Finding no such peak is a normal outcome,
     not an error.
     """
-    if state.n_sites != p.n_sites:
-        raise ValueError(f"state has {state.n_sites} sites but params have {p.n_sites}")
+    check_sites(state, p.n_sites)
     probs = np.abs(state.amplitudes) ** 2
     b = remnant_halfwidth(pulse_index, p)
     n = p.n_sites

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 # Construction tolerance on |sum |a|^2 - 1|.  Unitary steps preserve the norm
 # to machine precision, so drift stays far below this even over long runs.
 NORM_TOL = 1e-6
@@ -39,6 +41,14 @@ class SpinState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
+
+
+def check_sites(state: SpinState, n_sites: int) -> None:
+    """Raise DimensionMismatchError unless ``state`` has ``n_sites`` sites."""
+    if state.n_sites != n_sites:
+        raise DimensionMismatchError(
+            f"state has {state.n_sites} sites but params have {n_sites}"
+        )
 
 
 def site_state(n_sites: int, site: int) -> SpinState:

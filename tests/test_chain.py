@@ -17,7 +17,7 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
-from kickedchain.chain import _cosine_modes, _ring_hop, kick_phases
+from kickedchain.chain import _cosine_modes, _ring_hop, _tap_spectrum, kick_phases
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -80,7 +80,10 @@ class TestPropagator:
     def test_transform_route_matches_dense(self, make_random_state):
         state = make_random_state(64)
         ctx = make_context(P64)
-        via_transform = _ring_hop(state.amplitudes, ctx.pad, ctx.tap_spectrum, ctx.hop_buffer())
+        length = next_fast_len(64 + 2 * ctx.pad)
+        spectrum = _tap_spectrum(ctx.band_taps, length)
+        buf = np.zeros(length, dtype=np.complex128)
+        via_transform = _ring_hop(state.amplitudes, ctx.pad, spectrum, buf)
         via_matrix = uhc_matrix(P64, 1.0) @ state.amplitudes
         assert np.max(np.abs(via_transform - via_matrix)) < 1e-12
 
@@ -197,7 +200,7 @@ class TestOnePath:
         p = ChainParams(n_sites=n, center=17, beta=1e6, b_q=0.3)
         ctx = make_context(p)
         assert ctx.pad == n
-        assert max(ctx.tap_spectrum.size, ctx.kick_factors.size) <= next_fast_len(3 * n)
+        assert max(ctx.band_taps.size, ctx.kick_factors.size) <= 2 * n + 1
         state = make_random_state(n)
         got = evolve(state, ctx, 3).final.amplitudes
         u = kick_phases(p)[:, None] * uhc_matrix(p, 1.0)
@@ -223,12 +226,13 @@ def _sites_state(n_sites, sites, seed=0):
 
 def _full_chain_periods(start, ctx, n_periods):
     """Amplitudes at periods 0..n_periods from one _ring_hop over all N
-    sites and the kick per period (the loop evolve runs once the light
-    cone covers the chain)."""
+    sites and the kick per period: the reference loop with no light cone."""
+    length = next_fast_len(start.n_sites + 2 * ctx.pad)
+    spectrum = _tap_spectrum(ctx.band_taps, length)
+    buf = np.zeros(length, dtype=np.complex128)
     amps, out = start.amplitudes, [start.amplitudes]
-    buf = ctx.hop_buffer()
     for _ in range(n_periods):
-        amps = _ring_hop(amps, ctx.pad, ctx.tap_spectrum, buf) * ctx.kick_factors
+        amps = _ring_hop(amps, ctx.pad, spectrum, buf) * ctx.kick_factors
         out.append(amps)
     return out
 
@@ -242,6 +246,7 @@ CONE_STARTS = {
     "several sites": [700, 703, 704, 760],
     "both ends": [0, 1000, N_CONE - 1],
 }
+P_CONE = ChainParams(n_sites=N_CONE, center=1001, beta=20.0, b_q=0.3)
 
 
 class TestLightCone:
@@ -253,8 +258,7 @@ class TestLightCone:
         # W = 78 at beta = 20: the cone grows past half the chain within
         # 6-12 periods, so snapshots 3, 6 (and 9, 12 from an end) are taken
         # while evolve still hops a segment.
-        p = ChainParams(n_sites=N_CONE, center=1001, beta=20.0, b_q=0.3)
-        ctx = make_context(p)
+        ctx = make_context(P_CONE)
         start = _sites_state(N_CONE, CONE_STARTS[where])
         traj = evolve(start, ctx, 14, record_every=3)
         assert traj.periods == (0, 3, 6, 9, 12, 14)
@@ -278,6 +282,37 @@ class TestLightCone:
         for _ in range(14):
             back = step_period_inverse(back, ctx)
         assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["both ends", "centre from period 6", "folded band"])
+    def test_whole_chain_rung_is_the_full_chain_loop(self, case):
+        # Rung 0 writes back every site, so each of these starts, whose
+        # cone is wider than half the chain from the first period, runs
+        # the full-chain loop bit for bit.  From the centre's period-6
+        # state the cone is 1093 of 2001 sites at the first period: the
+        # sites outside it carry the full hop's rounding, not zeros.
+        if case == "folded band":
+            ctx = make_context(ChainParams(n_sites=33, center=17, beta=1e6, b_q=0.3))
+            start = _sites_state(33, [16])
+        elif case == "both ends":
+            ctx = make_context(P_CONE)
+            start = _sites_state(N_CONE, CONE_STARTS["both ends"])
+        else:
+            ctx = make_context(P_CONE)
+            start = evolve(_sites_state(N_CONE, CONE_STARTS["centre"]), ctx, 6).final
+        want = _full_chain_periods(start, ctx, 14)
+        for j, state in evolve(start, ctx, 14):
+            assert np.array_equal(state.amplitudes, want[j])
+
+    @pytest.mark.parametrize("split", [1, 3, 6, 9])
+    def test_restart_is_bit_for_bit(self, split):
+        # From the centre the cone passes half the chain at period 7 and
+        # the whole chain at period 13: a restart at any period climbs the
+        # same rungs and writes back the same sites.
+        ctx = make_context(P_CONE)
+        start = _sites_state(N_CONE, CONE_STARTS["centre"])
+        whole = evolve(start, ctx, 14).final
+        head = evolve(start, ctx, split).final
+        assert np.array_equal(evolve(head, ctx, 14 - split).final.amplitudes, whole.amplitudes)
 
 
 def _mirror_ring_periods(start, p, n_periods):

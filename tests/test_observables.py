@@ -19,11 +19,14 @@ from kickedchain import (
     max_concurrence,
     mode_decay,
     observables,
+    parse_config,
     q_measure,
     remnant_halfwidth,
+    site_state,
     spread_variance,
 )
 from kickedchain.errors import (
+    DimensionMismatchError,
     InsufficientDataError,
     NotLocalizedError,
 )
@@ -239,6 +242,14 @@ class TestModeDetection:
         assert remnant_halfwidth(3, self.P) == pytest.approx(3.0 * math.pi / self.P.b_q)
         with pytest.raises(ValueError):
             remnant_halfwidth(0, self.P)
+
+    def test_state_size_mismatch_is_a_package_error(self):
+        # The same error evolve raises, so a caller catching
+        # KickedChainError sees it.
+        p = parse_config("").chain
+        assert p.n_sites == 1401
+        with pytest.raises(DimensionMismatchError, match="state has 64 sites but params have 1401"):
+            detect_accelerator_modes(site_state(64, 32), 3, p)
 
 
 def fit_every_candidate(state: SpinState, pulse_index: int, p: ChainParams) -> ModeReport:
