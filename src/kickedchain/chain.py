@@ -22,13 +22,17 @@ phases beta*(1 - cos k) themselves.  For W < N, P = W.  For W >= N the
 taps are folded onto the 2N ring (its 2N distinct offsets, exact with no
 truncation) and P = N, so memory grows with N and never with beta.  The
 taps come from an inverse FFT of the ring eigenphases (``ring_taps``),
-never from Bessel functions; ``qkr.ring_propagator`` is built from the
-same taps, so the Bessel checks against it see the production hop.
+never from Bessel functions: for W < N on a ring of next_fast_len(4W)
+sites, whose aliases lie 3W and more out in the tail, so they cost O(W)
+and depend on beta alone; for W >= N on the 2N ring itself.
+``qkr.ring_propagator`` is built from ``ring_taps`` too, so the Bessel
+checks against it see the production hop.
 
 The banded hop moves amplitude at most P sites per period, so a state
 that starts on a few sites has a strict light cone.  ``evolve`` hops the
-shortest segment on the ladder ceil(N/2**k) that holds the cone.  Rung 0
-is the whole chain and writes back every site.  Below rung 0 the
+shortest segment on the ladder ceil(N/2**(k/2)) that holds the cone, so
+a segment is never much more than sqrt(2) times its cone.  Rung 0 is the
+whole chain and writes back every site.  Below rung 0 the
 segment's inner edges mirror-pad sites the cone has not reached, which
 are exactly zero, and its clipped edges are the chain's open ends, so
 the segment hop is the full hop up to FFT rounding and the sites outside
@@ -44,6 +48,7 @@ are always taken immediately after the kick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,11 +139,13 @@ def ring_taps(ring: int, beta: float) -> np.ndarray:
 
 def _band_taps(n_sites: int, beta: float) -> np.ndarray:
     """The hop taps d = -P..P (entry d + P; see the module docstring): the
-    inverse FFT of the ring eigenphases, on a ring of the full chain's FFT
-    length when the band W < N, else on the 2N ring."""
+    inverse FFT of the ring eigenphases.  When the band W < N the ring has
+    next_fast_len(4W) sites, so its aliases sit at offsets of 3W and more,
+    far out in the tail below 1e-16, and the taps depend on beta alone;
+    else it is the 2N ring, exact."""
     band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
     pad = min(band, n_sites)
-    ring = next_fast_len(n_sites + 2 * pad) if band < n_sites else 2 * n_sites
+    ring = next_fast_len(4 * pad) if band < n_sites else 2 * n_sites
     taps = ring_taps(ring, beta)[np.arange(-pad, pad + 1) % ring]
     if pad == n_sites:
         # d = +N and -N are one offset of the 2N ring: split it evenly so
@@ -170,17 +177,25 @@ def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray)
 
 
 def kick_phases(p: ChainParams) -> np.ndarray:
-    """Site-diagonal kick factors exp(-i * (b_q/2) * (site - center)**2)."""
-    offsets = np.arange(p.n_sites, dtype=np.float64) - (p.center - 1)
-    return np.exp(-0.5j * p.b_q * offsets**2)
+    """Site-diagonal kick factors exp(-i * (b_q/2) * (site - center)**2),
+    evaluated once per distance from the centre and mirrored onto its two
+    sides (d**2 is exact, so this is the direct formula bit for bit)."""
+    n, c = p.n_sites, p.center - 1
+    d = np.arange(max(c, n - 1 - c) + 1, dtype=np.float64)
+    half = np.exp(-0.5j * p.b_q * d**2)
+    kick = np.empty(n, dtype=np.complex128)
+    kick[c:] = half[:n - c]
+    kick[:c] = half[c:0:-1]
+    return kick
 
 
 @dataclass(frozen=True, eq=False)
 class EvolutionContext:
     """Parameters plus the read-only one-period factors they imply: the
-    hop's mirror padding, its band taps and the site kick factors.  Each
-    segment length's tap spectrum is built from the band taps where it is
-    needed."""
+    hop's mirror padding, its band taps (O(W) to build while W < N) and
+    the site kick factors.  Each segment length's tap spectrum is built
+    from the band taps where it is needed, one per rung of ``evolve``'s
+    ladder ceil(N / 2**(k/2))."""
 
     params: ChainParams
     pad: int
@@ -225,6 +240,18 @@ class Trajectory:
         return self.states[-1]
 
 
+def _rung(n_sites: int, width: int) -> int:
+    """The shortest rung ceil(N / 2**(k/2)), k = 0, 1, ..., that holds
+    ``width`` sites (2 <= width <= N).
+
+    Rung k is the smallest s with s*s * 2**k >= N*N, so it holds ``width``
+    exactly while (width - 1)**2 * 2**k < N*N.  All in integers, so a
+    restart climbs the same rungs."""
+    nn = n_sites * n_sites
+    k = ((nn - 1) // (width - 1) ** 2).bit_length() - 1
+    return math.isqrt(-(-nn >> k) - 1) + 1
+
+
 def evolve(
     initial: SpinState,
     ctx: EvolutionContext,
@@ -242,15 +269,16 @@ def evolve(
     The hop moves amplitude at most P sites per period, so after j periods
     the state vanishes outside its initial support grown by P*j sites on
     each side.  Each period hops the shortest segment on the ladder
-    ceil(N / 2**k) that holds this light cone, clipped to the chain, so one
-    call builds at most about log2(N/P) + 1 tap spectra.  Rung 0 (k = 0) is
-    the whole chain and writes back every site; every cone wider than half
-    the chain hops there, from the first period for a start that spans the
-    chain or for the folded band (P = N).  Below rung 0 only the cone is
-    written back, so the sites outside it stay exactly zero.  This is the
-    full hop up to FFT rounding: at a segment edge inside the chain the
-    mirror padding copies P sites the cone has not reached yet, all zero,
-    and at a clipped edge it is the chain's own open end.
+    ceil(N / 2**(k/2)) that holds this light cone, clipped to the chain, so
+    one call builds at most about 2*log2(N/P) + 1 tap spectra.  Rung 0
+    (k = 0) is the whole chain and writes back every site; every cone wider
+    than the top sub-rung ceil(N / sqrt(2)) hops there, from the first
+    period for a start that spans the chain or for the folded band
+    (P = N).  Below rung 0 only the cone is written back, so the sites
+    outside it stay exactly zero.  This is the full hop up to FFT
+    rounding: at a segment edge inside the chain the mirror padding copies
+    P sites the cone has not reached yet, all zero, and at a clipped edge
+    it is the chain's own open end.
     """
     p = ctx.params
     check_sites(initial, p.n_sites)
@@ -275,14 +303,13 @@ def evolve(
     seg = 0
     for j in range(1, n_periods + 1):
         if seg < n:
-            # The ladder's rungs are ceil(N / 2**k); take the shortest that
-            # holds the cone.  Rung 0 is the whole chain and writes back
-            # every site, the hop's rounding past the cone included; once
-            # there, the segment no longer changes.
+            # Take the shortest rung that holds the cone.  Rung 0 is the
+            # whole chain and writes back every site, the hop's rounding
+            # past the cone included; once there, the segment no longer
+            # changes.
             c0, c1 = max(lo - pad * j, 0), min(hi + pad * j, n)
             if c1 - c0 > seg:
-                k = (n // (c1 - c0)).bit_length() - 1
-                seg = -(-n >> k)
+                seg = _rung(n, c1 - c0)
                 length = next_fast_len(seg + 2 * pad)
                 spectrum = _tap_spectrum(ctx.band_taps, length)
                 buf = np.zeros(length, dtype=np.complex128)

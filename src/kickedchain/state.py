@@ -6,6 +6,7 @@ for the excitation sitting on site k+1 (sites are numbered from 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,11 @@ class SpinState:
         arr = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        # One pass: a NaN or infinite amplitude makes the norm non-finite,
+        # and only then is the slower test needed to pick the message.
+        norm_sq = float(np.vdot(arr, arr).real)
+        if not math.isfinite(norm_sq) and not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         arr.setflags(write=False)

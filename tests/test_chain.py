@@ -17,7 +17,14 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
-from kickedchain.chain import _cosine_modes, _ring_hop, _tap_spectrum, kick_phases
+from kickedchain.chain import (
+    _band_taps,
+    _cosine_modes,
+    _ring_hop,
+    _tap_spectrum,
+    kick_phases,
+    ring_taps,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -101,6 +108,15 @@ class TestKick:
         state = make_random_state(32)
         kicked = state.amplitudes * kick_phases(p)
         assert np.allclose(np.abs(kicked), np.abs(state.amplitudes), atol=1e-15)
+
+    @pytest.mark.parametrize("n_sites,center", [
+        (2, 1), (2, 2), (1401, 1), (1401, 1401), (1401, 701), (1400, 700), (1401, 300),
+    ])
+    def test_matches_direct_formula(self, n_sites, center):
+        # Bit for bit: kick_phases mirrors one half-table onto both sides.
+        p = ChainParams(n_sites=n_sites, center=center, beta=1.0, b_q=0.0667)
+        offsets = np.arange(n_sites, dtype=np.float64) - (center - 1)
+        assert np.array_equal(kick_phases(p), np.exp(-0.5j * p.b_q * offsets**2))
 
     def test_kick_off_is_identity(self, make_random_state):
         p = ChainParams(n_sites=32, center=16, beta=1.0, b_q=0.0)
@@ -208,13 +224,49 @@ class TestOnePath:
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+def _band(beta):
+    """The band W of the chain module docstring."""
+    return int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
+
+
 @pytest.mark.parametrize("beta,bound", [(1.0, 1e-16), (100.0, 1e-16), (2e4, 1e-16), (1e7, 5e-15)])
 def test_dropped_taps_below_stated_bound(beta, bound):
     # The module docstring's claim, from Bessel functions rather than the
     # taps evolve uses: sum over |d| > W of |J_d(beta)| (both signs of d).
-    band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
+    band = _band(beta)
     d = np.arange(band + 1, band + 4001)
     assert 2.0 * np.sum(np.abs(jv(d, beta))) < bound
+
+
+# Fixed before any run: the l2 error may grow by (1 + beta) * eps per
+# period (the phases beta*(1 - cos) carry beta*eps, the FFTs eps) times
+# this constant.
+ORACLE_C = 10.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 20.0, 100.0, 1e3, 1e4])
+def test_band_taps_depend_on_beta_alone(beta):
+    # While W < N the taps come from a ring of a few times W, not of N,
+    # and agree with the kicked-rotor taps exp(-i beta) i^d J_d(beta) to
+    # the phase rounding bound fixed before any run (ORACLE_C).
+    band = _band(beta)
+    taps = _band_taps(band + 1, beta)
+    for n_sites in (band + 2, 2 * band + 7, 65537):
+        assert np.array_equal(_band_taps(n_sites, beta), taps)
+    d = np.arange(-band, band + 1)
+    bessel = np.exp(-1j * beta) * np.array([1, 1j, -1, -1j])[d % 4] * jv(d, beta)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(taps - bessel)) <= ORACLE_C * (1.0 + beta) * eps
+
+
+@pytest.mark.parametrize("n_sites,beta", [(2, 0.0), (33, 1e6), (64, 1e4), (177, 100.0)])
+def test_folded_band_taps_are_the_2n_ring(n_sites, beta):
+    # W >= N: the 2N ring's taps, its offset N split between d = -N and
+    # d = +N, bit for bit.
+    assert _band(beta) >= n_sites
+    want = ring_taps(2 * n_sites, beta)[np.arange(-n_sites, n_sites + 1) % (2 * n_sites)]
+    want[[0, -1]] *= 0.5
+    assert np.array_equal(_band_taps(n_sites, beta), want)
 
 
 def _sites_state(n_sites, sites, seed=0):
@@ -245,8 +297,11 @@ CONE_STARTS = {
     "off centre": [612],
     "several sites": [700, 703, 704, 760],
     "both ends": [0, 1000, N_CONE - 1],
+    "wide support": [600, 1000, 1400],
 }
 P_CONE = ChainParams(n_sites=N_CONE, center=1001, beta=20.0, b_q=0.3)
+# The longest segment below rung 0, ceil(N / sqrt(2)) = 1415 sites.
+TOP_SUB_RUNG = int(np.ceil(N_CONE / np.sqrt(2.0)))
 
 
 class TestLightCone:
@@ -255,9 +310,10 @@ class TestLightCone:
 
     @pytest.mark.parametrize("where", sorted(CONE_STARTS))
     def test_matches_full_chain_loop(self, where):
-        # W = 78 at beta = 20: the cone grows past half the chain within
-        # 6-12 periods, so snapshots 3, 6 (and 9, 12 from an end) are taken
-        # while evolve still hops a segment.
+        # W = 78 at beta = 20: the cone outgrows the top sub-rung after 4
+        # (wide support) to 19 (an end) periods, so snapshot 3, and 6, 9,
+        # ... for narrower starts, is taken while evolve still hops a
+        # segment; for "wide support" that segment is the top sub-rung.
         ctx = make_context(P_CONE)
         start = _sites_state(N_CONE, CONE_STARTS[where])
         traj = evolve(start, ctx, 14, record_every=3)
@@ -271,7 +327,7 @@ class TestLightCone:
         for j, state in traj:
             assert np.max(np.abs(state.amplitudes - want[j])) < 1e-13
             cone_lo, cone_hi = lo - ctx.pad * j, hi + ctx.pad * j
-            if min(cone_hi, N_CONE) - max(cone_lo, 0) <= N_CONE // 2:
+            if min(cone_hi, N_CONE) - max(cone_lo, 0) <= TOP_SUB_RUNG:
                 outside = (site < cone_lo) | (site >= cone_hi)
                 assert np.all(state.amplitudes[outside] == 0.0)
                 exact_periods.append(j)
@@ -283,12 +339,12 @@ class TestLightCone:
             back = step_period_inverse(back, ctx)
         assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-12
 
-    @pytest.mark.parametrize("case", ["both ends", "centre from period 6", "folded band"])
+    @pytest.mark.parametrize("case", ["both ends", "centre from period 9", "folded band"])
     def test_whole_chain_rung_is_the_full_chain_loop(self, case):
         # Rung 0 writes back every site, so each of these starts, whose
-        # cone is wider than half the chain from the first period, runs
-        # the full-chain loop bit for bit.  From the centre's period-6
-        # state the cone is 1093 of 2001 sites at the first period: the
+        # cone is wider than the top sub-rung from the first period, runs
+        # the full-chain loop bit for bit.  From the centre's period-9
+        # state the cone is 1561 of 2001 sites at the first period: the
         # sites outside it carry the full hop's rounding, not zeros.
         if case == "folded band":
             ctx = make_context(ChainParams(n_sites=33, center=17, beta=1e6, b_q=0.3))
@@ -298,16 +354,16 @@ class TestLightCone:
             start = _sites_state(N_CONE, CONE_STARTS["both ends"])
         else:
             ctx = make_context(P_CONE)
-            start = evolve(_sites_state(N_CONE, CONE_STARTS["centre"]), ctx, 6).final
+            start = evolve(_sites_state(N_CONE, CONE_STARTS["centre"]), ctx, 9).final
         want = _full_chain_periods(start, ctx, 14)
         for j, state in evolve(start, ctx, 14):
             assert np.array_equal(state.amplitudes, want[j])
 
     @pytest.mark.parametrize("split", [1, 3, 6, 9])
     def test_restart_is_bit_for_bit(self, split):
-        # From the centre the cone passes half the chain at period 7 and
-        # the whole chain at period 13: a restart at any period climbs the
-        # same rungs and writes back the same sites.
+        # From the centre the cone passes the top sub-rung at period 10
+        # and the whole chain at period 13: a restart at any period climbs
+        # the same rungs and writes back the same sites.
         ctx = make_context(P_CONE)
         start = _sites_state(N_CONE, CONE_STARTS["centre"])
         whole = evolve(start, ctx, 14).final
@@ -331,12 +387,6 @@ def _mirror_ring_periods(start, p, n_periods):
     return out
 
 
-# Fixed before any run: the l2 error may grow by (1 + beta) * eps per
-# period (the phases beta*(1 - cos) carry beta*eps, the FFTs eps) times
-# this constant.
-ORACLE_C = 10.0
-
-
 @pytest.mark.parametrize("n_sites", [1401, 65537])
 def test_evolve_matches_mirror_ring_oracle(n_sites):
     beta = 100.0
@@ -348,3 +398,51 @@ def test_evolve_matches_mirror_ring_oracle(n_sites):
     eps = np.finfo(np.float64).eps
     for j, state in traj:
         assert np.linalg.norm(state.amplitudes - want[j]) <= ORACLE_C * (1.0 + beta) * eps * j
+
+
+def _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed):
+    """evolve from a few random sites against the mirror-ring oracle, then
+    back through step_period_inverse, each period within ORACLE_C."""
+    p = ChainParams(n_sites=n_sites, center=1 + round(center * (n_sites - 1)),
+                    beta=beta, b_q=b_q)
+    ctx = make_context(p)
+    start = _sites_state(n_sites, sorted({round(w * (n_sites - 1)) for w in where}), seed)
+    traj = evolve(start, ctx, n_periods)
+    want = _mirror_ring_periods(start, p, n_periods)
+    per_period = ORACLE_C * (1.0 + beta) * np.finfo(np.float64).eps
+    for j, state in traj:
+        assert np.linalg.norm(state.amplitudes - want[j]) <= per_period * j
+    back = traj.final
+    for _ in range(n_periods):
+        back = step_period_inverse(back, ctx)
+    assert np.linalg.norm(back.amplitudes - start.amplitudes) <= per_period * 2 * n_periods
+
+
+_SWEEP = dict(
+    beta=st.one_of(st.floats(min_value=0.0, max_value=300.0),
+                   st.floats(min_value=0.0, max_value=1e4)),
+    b_q=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+    center=st.floats(min_value=0.0, max_value=1.0),
+    where=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    n_periods=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_sites=st.integers(min_value=2, max_value=4000), **_SWEEP)
+def test_oracle_sweep(n_sites, beta, b_q, center, where, n_periods, seed):
+    # Light-cone rungs, the tap ring and the folded band (W >= N) over
+    # random chains, with no dense oracle's size cap.
+    _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)
+
+
+# 5-smooth, so the oracle's 2N-point FFTs stay fast; few draws, as each
+# costs about 0.2 s.
+LARGE_N = (59049, 62500, 84375, 97200)
+
+
+@settings(max_examples=3, deadline=None)
+@given(n_sites=st.sampled_from(LARGE_N), **_SWEEP)
+def test_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed):
+    _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)

@@ -118,6 +118,18 @@ class TestSpinState:
         with pytest.raises(ValueError):
             SpinState(np.array([np.nan + 0j, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_rejects_nonfinite_part(self, bad, imaginary):
+        entry = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            SpinState(np.array([1.0, entry]))
+
+    def test_overflowing_norm_is_not_normalized(self):
+        # Finite amplitudes whose sum |a|^2 overflows to inf.
+        with pytest.raises(ValueError, match="not normalized"):
+            SpinState(np.array([1e200, 0.0]))
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             SpinState(np.eye(2, dtype=complex))
