@@ -91,6 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"  {status}  {check['name']}: deviation {check['deviation']:.3e}"
                 f" (tolerance {check['tolerance']:.0e})"
+                f"  margin {check['deviation'] / check['tolerance']:.2e}"
             )
         if not report["passed"]:
             return 3

@@ -106,19 +106,19 @@ def _check_engine_equivalence() -> float:
 
 
 def _check_quadrature() -> float:
-    # The integral is the continuum-k limit of the mode sum, so it only
-    # approaches matrix elements at O(1/N): compare central entries of a
-    # long chain, summed over the cosine modes at just those sites.
+    # The continuum integral against the mode sum at central sites of a
+    # long chain, summed over the cosine modes at just those sites.  The
+    # open chain's boundary terms here have Bessel orders near 1000 and
+    # vanish at beta = 10, so the two agree to rounding: the check catches
+    # gross errors in either route, not the O(1/N) finite-size terms.
+    # frs_quadrature takes the 5x5 grid in one call, one DCT-I per
+    # trapezoid resolution.
     p = ChainParams(n_sites=1024, center=512, beta=10.0, b_q=0.1)
-    picks = (500, 511, 512, 513, 524)
-    g = chain._cosine_modes(p.n_sites, [r - 1 for r in picks])
+    picks = np.array((500, 511, 512, 513, 524))
+    g = chain._cosine_modes(p.n_sites, picks - 1)
     d = np.exp(-1j * chain.hop_eigenphases(p.n_sites, p.beta))
     u = g.T @ (d[:, None] * g)
-    worst = 0.0
-    for i, r in enumerate(picks):
-        for k, s in enumerate(picks):
-            worst = max(worst, abs(frs_quadrature(r, s, p) - u[i, k]))
-    return worst
+    return float(np.max(np.abs(frs_quadrature(picks[:, None], picks[None, :], p) - u)))
 
 
 def _check_kick_matrix_interior() -> float:
@@ -142,12 +142,15 @@ def _check_classical_diffusion() -> float:
 
 
 def _check_q_ipr_identity() -> float:
-    rng = np.random.default_rng(12345)
-    n = 64
+    # One draw holds every state's real and imaginary parts, in the order
+    # two normal(size=n) calls per state would give them.
+    n, count = 64, 1000
+    draws = np.random.default_rng(12345).normal(size=(count, 2, n))
+    amps = draws[:, 0] + 1j * draws[:, 1]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     worst = 0.0
-    for _ in range(1000):
-        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        state = SpinState(amps / np.linalg.norm(amps))
+    for row in amps:
+        state = SpinState(row)
         q = observables.q_measure(state)
         via_ipr = 4.0 / n * (1.0 - 1.0 / observables.ipr(state))
         worst = max(worst, abs(q - via_ipr) / max(abs(q), 1e-300))

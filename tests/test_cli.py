@@ -5,6 +5,7 @@ each with one line on stderr, never a traceback."""
 import contextlib
 import io
 import json
+import re
 import tempfile
 
 import pytest
@@ -190,6 +191,28 @@ def test_vanishing_b_q_tracks_no_pulses(tmp_path, capsys):
     code = main(["accel", "--set", "b_q=5e-324", "--out", str(tmp_path / "accel")])
     assert code == 1
     assert "recorded pulses in [2, 0] (chain geometry cap); got 0" in _one_line_error(capsys)
+
+
+def test_validate_prints_each_check_with_its_margin(tmp_path, capsys):
+    # One line per check, in report order: status, name, deviation,
+    # tolerance and the margin deviation / tolerance.  validation.json
+    # itself carries no margin.
+    code = main(["validate", "--out", str(tmp_path / "run")])
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "validation.json").read_text())
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  ")]
+    assert len(lines) == len(report["checks"]) == 9
+    for line, check in zip(lines, report["checks"]):
+        assert "margin" not in check
+        match = re.fullmatch(
+            r"  (pass|FAIL)  (\w+): deviation (\S+) \(tolerance (\S+)\)  margin (\S+)", line
+        )
+        assert match, line
+        status, name, deviation, tolerance, margin = match.groups()
+        assert (status == "pass") == check["passed"] and name == check["name"]
+        assert float(deviation) == pytest.approx(check["deviation"], rel=1e-3, abs=1e-300)
+        assert float(tolerance) == check["tolerance"]
+        assert float(margin) == pytest.approx(check["deviation"] / check["tolerance"], rel=1e-2)
 
 
 def test_accel_pulse_check_stops_at_trackable_pulses(tmp_path, capsys):

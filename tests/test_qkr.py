@@ -16,7 +16,7 @@ from kickedchain import (
     standard_map,
     uhc_matrix,
 )
-from kickedchain.errors import WeakChaosWarning
+from kickedchain.errors import QuadratureConvergenceError, WeakChaosWarning
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -141,6 +141,83 @@ class TestQuadrature:
         u = uhc_matrix(p, 1.0)
         for r, s in ((250, 256), (256, 256), (260, 249)):
             assert abs(frs_quadrature(r, s, p) - u[r - 1, s - 1]) < 5e-3
+
+    def test_scalar_in_complex_out(self):
+        p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
+        assert type(frs_quadrature(30, 33, p)) is complex
+        assert frs_quadrature(np.array([30]), 33, p).shape == (1,)
+
+    def test_rejects_sites_off_the_chain(self):
+        p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
+        with pytest.raises(ValueError):
+            frs_quadrature(np.array([1, 65]), 1, p)
+        with pytest.raises(ValueError):
+            frs_quadrature(0, 1, p)
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (50, 50), (3, 90)])
+    def test_coarse_aliasing_raises(self, r, s):
+        # At beta = 2e4 the kick's bandwidth exceeds both panel counts, so
+        # the halved rule disagrees; the direct per-pair trapezoid raised too.
+        p = ChainParams(n_sites=100, center=50, beta=2e4, b_q=0.1)
+        with pytest.raises(QuadratureConvergenceError):
+            frs_quadrature(r, s, p)
+        with pytest.raises(QuadratureConvergenceError):
+            _direct_quadrature(r, s, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12_000), beta=st.floats(0.0, 300.0))
+    def test_matches_direct_trapezoid(self, data, n, beta):
+        p = ChainParams(n_sites=n, center=(n + 1) // 2, beta=beta, b_q=0.1)
+        site = st.integers(1, n)
+        pairs = data.draw(st.lists(st.tuples(site, site), min_size=1, max_size=4))
+        r, s = np.array(pairs).T
+        _assert_matches_direct(r, s, p)
+
+    @pytest.mark.parametrize(
+        "n,r,s",
+        [
+            # r+s-1 above the coarse (8192) and the fine (16384) panel
+            # counts, folding onto orders where the Bessel terms vanish.
+            (12_000, [9000, 8300, 11_999, 4100], [100, 8300, 12_000, 4100]),
+            # r+s-1 = 16383 folds onto order 1 at the coarse resolution
+            # only: both routes refuse.
+            (12_000, [8192], [8192]),
+            # r+s-1 = 32767 folds onto order 1 at both resolutions, which
+            # agree: the aliased value is O(1) and must match.
+            (16_400, [16_384], [16_384]),
+        ],
+    )
+    def test_matches_direct_trapezoid_on_folded_orders(self, n, r, s):
+        p = ChainParams(n_sites=n, center=n // 2, beta=37.5, b_q=0.1)
+        _assert_matches_direct(np.array(r), np.array(s), p)
+
+
+def _assert_matches_direct(r: np.ndarray, s: np.ndarray, p: ChainParams) -> None:
+    try:
+        direct = np.array([_direct_quadrature(a, b, p) for a, b in zip(r.tolist(), s.tolist())])
+    except QuadratureConvergenceError:
+        # A folded order near 2 * 8192 aliases onto a large Bessel term at
+        # the coarse resolution: both routes must refuse.
+        with pytest.raises(QuadratureConvergenceError):
+            frs_quadrature(r, s, p)
+        return
+    got = frs_quadrature(r, s, p)
+    assert isinstance(got, np.ndarray) and got.shape == r.shape
+    assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def _direct_quadrature(r: int, s: int, p: ChainParams) -> complex:
+    # One site pair: the trapezoid rule on the integrand itself, at the
+    # same two resolutions and with the same refinement rule.
+    def integrate(m: int) -> complex:
+        x = np.linspace(0.0, np.pi, m + 1)
+        f = (np.cos((r + s - 1) * x) + np.cos((r - s) * x)) * np.exp(1j * p.beta * np.cos(x))
+        return complex(np.trapezoid(f, dx=np.pi / m) / np.pi)
+
+    fine, coarse = integrate(2**14), integrate(2**13)
+    if abs(fine - coarse) > 1e-9:
+        raise QuadratureConvergenceError(f"refinement shift {abs(fine - coarse):.3e}")
+    return complex(np.exp(-1j * p.beta)) * fine
 
 
 class TestClassicalMap:

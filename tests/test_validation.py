@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 
 import kickedchain.chain
-from kickedchain.validation import ValidationReport, CheckResult, validate_suite
+from kickedchain import observables
+from kickedchain.state import SpinState
+from kickedchain.validation import (
+    CheckResult,
+    ValidationReport,
+    _check_q_ipr_identity,
+    validate_suite,
+)
 
 
 class TestSuite:
@@ -18,11 +25,27 @@ class TestSuite:
         assert len(names) == len(set(names)) == 9
 
     def test_report_dict_shape(self):
+        # The benchmark compares validation.json leaf by leaf: a key added,
+        # dropped or reordered changes its structure.
         payload = validate_suite().as_dict()
+        assert list(payload) == ["passed", "checks"]
         assert payload["passed"] is True
         for check in payload["checks"]:
-            assert set(check) == {"name", "deviation", "tolerance", "passed"}
+            assert list(check) == ["name", "deviation", "tolerance", "passed"]
             assert isinstance(check["deviation"], float)
+
+    def test_q_ipr_draw_matches_sequential_draws(self):
+        # The one batched draw is the stream of two normal(size=64) calls
+        # per state, so the deviation is the same to the last bit.
+        rng = np.random.default_rng(12345)
+        worst = 0.0
+        for _ in range(1000):
+            amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+            state = SpinState(amps / np.linalg.norm(amps))
+            q = observables.q_measure(state)
+            via_ipr = 4.0 / 64 * (1.0 - 1.0 / observables.ipr(state))
+            worst = max(worst, abs(q - via_ipr) / max(abs(q), 1e-300))
+        assert _check_q_ipr_identity() == worst
 
     def test_mutation_breaks_engine_equivalence(self, monkeypatch):
         # A sign error injected into the ring-kernel hop that evolve calls:
