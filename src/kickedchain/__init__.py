@@ -41,7 +41,6 @@ from .errors import (
 from .experiments import RunManifest, run_experiment
 from .observables import (
     ConcurrenceMax,
-    DiffusionFit,
     GaussianMode,
     LocalizationFit,
     ModeDecayFit,
@@ -49,7 +48,6 @@ from .observables import (
     concurrence,
     concurrence_profile_max,
     detect_accelerator_modes,
-    fit_diffusion,
     fit_localization_length,
     ipr,
     max_concurrence,

@@ -51,10 +51,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = ""
         if args.config is not None:
+            # ValueError: the file is not UTF-8, or the path holds a NUL.
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         # The positional experiment and --out are two more overrides, applied
         # last, so every key has one rule.

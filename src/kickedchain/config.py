@@ -109,6 +109,8 @@ def _apply(values: dict, key: str, raw: str) -> None:
     elif key == "output_dir":
         if not raw:
             raise ConfigError("key 'output_dir': must not be empty")
+        if "\0" in raw:
+            raise ConfigError("key 'output_dir': must not contain a NUL byte")
         values[key] = raw
     else:
         raise ConfigError(f"unknown configuration key '{key}'")

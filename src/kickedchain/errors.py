@@ -41,9 +41,5 @@ class WeakChaosWarning(UserWarning):
     """Kick strength is below the regime where the diffusion estimate is reliable."""
 
 
-class PoorFitWarning(UserWarning):
-    """A least-squares fit explains little of the variance in its input."""
-
-
 class EmptyBranchWarning(UserWarning):
     """A measurement branch has (numerically) zero probability."""

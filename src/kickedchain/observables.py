@@ -14,18 +14,12 @@ peak positions are real-valued in the same coordinate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    NotLocalizedError,
-    PacketsOutOfRangeError,
-    PoorFitWarning,
-)
+from .errors import InsufficientDataError, NotLocalizedError, PacketsOutOfRangeError
 from .params import ChainParams, derived_params
 from .state import SpinState, check_sites
 
@@ -71,45 +65,6 @@ def spread_variance(state: SpinState, s0: int, b_q: float) -> float:
     probs = np.abs(state.amplitudes) ** 2
     offsets = np.arange(1, state.n_sites + 1, dtype=np.float64) - s0
     return float(b_q * b_q * np.sum(probs * offsets * offsets))
-
-
-@dataclass(frozen=True)
-class DiffusionFit:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def fit_diffusion(series: Sequence[tuple[int, float]], window: tuple[int, int]) -> DiffusionFit:
-    """Least-squares slope of a variance-versus-period series inside ``window``.
-
-    ``series`` holds (period, variance) pairs; ``window`` is an inclusive
-    period range.
-    """
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"window must satisfy lo <= hi, got {window!r}")
-    pts = [(t, v) for t, v in series if lo <= t <= hi]
-    if len(pts) < 3:
-        raise InsufficientDataError(
-            f"diffusion fit needs >= 3 points inside {window}, found {len(pts)}"
-        )
-    t = np.array([q[0] for q in pts], dtype=np.float64)
-    v = np.array([q[1] for q in pts], dtype=np.float64)
-    slope, intercept = np.polyfit(t, v, 1)
-    fitted = slope * t + intercept
-    ss_res = float(np.sum((v - fitted) ** 2))
-    ss_tot = float(np.sum((v - v.mean()) ** 2))
-    if ss_tot <= 1e-300:
-        r_squared = 0.0
-        warnings.warn("variance series is flat; no diffusive growth to fit",
-                      PoorFitWarning, stacklevel=2)
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-        if r_squared < 0.5:
-            warnings.warn(f"diffusion fit explains little variance (r^2 = {r_squared:.3f})",
-                          PoorFitWarning, stacklevel=2)
-    return DiffusionFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 
 @dataclass(frozen=True)
@@ -199,11 +154,21 @@ def ipr(state: SpinState) -> float:
     return 1.0 / p2
 
 
-def concurrence(state: SpinState, i: int, j: int) -> float:
-    """Pairwise concurrence 4 |a_i| |a_j| between sites i and j.
+def _pair_concurrence(m_i: float, m_j: float) -> float:
+    """The one pair formula: concurrence 4 |a_i| |a_j| from the two
+    magnitudes.
 
     Single-excitation convention: a state shared equally over two sites
     gives 2 (this normalization exceeds the usual spin-pair bound of 1).
+    """
+    return float(4.0 * m_i * m_j)
+
+
+def concurrence(state: SpinState, i: int, j: int) -> float:
+    """Pairwise concurrence 4 |a_i| |a_j| between sites i and j.
+
+    Magnitudes come from np.abs, as in max_concurrence, so the two agree
+    bit for bit.
     """
     n = state.n_sites
     if not (1 <= i <= n and 1 <= j <= n):
@@ -211,7 +176,7 @@ def concurrence(state: SpinState, i: int, j: int) -> float:
     if i == j:
         raise ValueError("concurrence needs two distinct sites")
     a = state.amplitudes
-    return float(4.0 * abs(a[i - 1]) * abs(a[j - 1]))
+    return _pair_concurrence(np.abs(a[i - 1]), np.abs(a[j - 1]))
 
 
 @dataclass(frozen=True)
@@ -221,20 +186,30 @@ class ConcurrenceMax:
 
 
 def concurrence_profile_max(d: float) -> ConcurrenceMax:
-    """Maximum over L of the localized-envelope concurrence (8/L) e^{-2d/L}
-    for two sites 2d apart: peak at L* = 2d with value C* = 4/(d*e)."""
+    """Maximum over L of the concurrence between sites -d and +d of the
+    normalized envelope P(s) ~ e^{-2|s|/L} on an unbounded chain.
+
+    The normaliser is sum_s e^{-2|s|/L} = coth(1/L), so the pair value is
+    4 tanh(1/L) e^{-2d/L}.  It peaks where sinh(2/L) = 1/d, at
+    L* = 2/asinh(1/d), with C* = 4/(d + sqrt(d^2 + 1)) * e^{-2d/L*}
+    (continuum limits 2d and 2/(d*e)).  Exact on the lattice for integer d.
+    """
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"site separation d must be positive, got {d!r}")
-    return ConcurrenceMax(l_star=2.0 * d, c_star=4.0 / (d * math.e))
+    two_over_l = math.asinh(1.0 / d)
+    return ConcurrenceMax(
+        l_star=2.0 / two_over_l,
+        c_star=4.0 / (d + math.hypot(d, 1.0)) * math.exp(-d * two_over_l),
+    )
 
 
 def max_concurrence(state: SpinState) -> float:
-    """Largest pairwise concurrence, 4 * (two largest |a_k|)."""
+    """Largest pairwise concurrence, from the two largest |a_k|."""
     mags = np.abs(state.amplitudes)
     if mags.size < 2:
         return 0.0
     top = np.partition(mags, mags.size - 2)[-2:]
-    return float(4.0 * top[0] * top[1])
+    return _pair_concurrence(top[0], top[1])
 
 
 def packet_centers(p: ChainParams, pulse_index: int) -> tuple[float, float]:

@@ -9,6 +9,7 @@ a failure here means a real regression, not noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -158,18 +159,28 @@ def _check_q_ipr_identity() -> float:
 
 
 def _check_concurrence_grid() -> float:
-    # Grid-search the envelope concurrence (8/L) e^{-2d/L} and compare the
-    # located optimum against the closed form (2d, 4/(d*e)).
+    # Production concurrence between sites center -+ d of built profiles
+    # e^{-|s|/L}, L on a grid over [d, 3d]; a parabola through ln C at the
+    # grid maximum locates the optimum, against the closed form.  The
+    # chain reaches 30d sites either side, so the weight it cuts off is
+    # e^{-30} of the total near L = 2d and e^{-20} at L = 3d.
     worst = 0.0
-    for d in (5.0, 10.0, 50.0):
-        grid = np.linspace(d, 3.0 * d, 20001)
-        values = (8.0 / grid) * np.exp(-2.0 * d / grid)
-        k = int(np.argmax(values))
+    for d in (5, 10, 50):
+        half = 30 * d
+        offsets = np.abs(np.arange(-half, half + 1))
+        grid = np.linspace(d, 3.0 * d, 41)
+        logs = []
+        for length in grid:
+            amps = np.exp(-offsets / length)
+            state = SpinState(amps / np.linalg.norm(amps))
+            logs.append(math.log(observables.concurrence(state, half + 1 - d, half + 1 + d)))
+        k = int(np.argmax(logs))
+        c2, c1, c0 = np.polyfit(grid[k - 1:k + 2], logs[k - 1:k + 2], 2)
         best = observables.concurrence_profile_max(d)
         worst = max(
             worst,
-            abs(grid[k] / best.l_star - 1.0),
-            abs(values[k] / best.c_star - 1.0),
+            abs(-c1 / (2.0 * c2) / best.l_star - 1.0),
+            abs(math.exp(c0 - c1 * c1 / (4.0 * c2)) / best.c_star - 1.0),
         )
     return worst
 

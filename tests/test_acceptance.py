@@ -23,11 +23,9 @@ from kickedchain import (
     bessel_interior_mask,
     central_measurement,
     classical_diffusion,
-    concurrence_profile_max,
     derived_params,
     detect_accelerator_modes,
     evolve,
-    fit_diffusion,
     fit_localization_length,
     hop_eigenphases,
     ipr,
@@ -46,6 +44,7 @@ from kickedchain import (
     site_state,
     spread_variance,
     uhc_matrix,
+    validate_suite,
 )
 from kickedchain.chain import _cosine_modes
 
@@ -149,11 +148,9 @@ def test_criterion_05_short_time_diffusion():
     d_ref = rechester_d(5.0)
 
     traj = evolve(site_state(1401, 701), make_context(p), 10)
-    series = [
-        (period, spread_variance(state, 701, p.b_q))
-        for period, state in traj
-    ]
-    quantum_slope = fit_diffusion(series, (0, 10)).slope
+    t = np.array(traj.periods, dtype=np.float64)
+    v = np.array([spread_variance(state, 701, p.b_q) for state in traj.states])
+    quantum_slope = float(np.polyfit(t, v, 1)[0])
 
     classical_slope = classical_diffusion(5.0, ensemble=10_000, steps=50, seed=0)
     elapsed = time.perf_counter() - t0
@@ -234,17 +231,8 @@ def test_criterion_08_entanglement_identities():
         via = 4.0 / 64 * (1.0 - 1.0 / ipr(state))
         worst = max(worst, abs(q - via) / abs(q))
 
-    grid_dev = 0.0
-    for d in (5.0, 10.0, 50.0):
-        grid = np.linspace(d, 3.0 * d, 40001)
-        values = (8.0 / grid) * np.exp(-2.0 * d / grid)
-        k = int(np.argmax(values))
-        best = concurrence_profile_max(d)
-        grid_dev = max(
-            grid_dev,
-            abs(grid[k] / best.l_star - 1.0),
-            abs(values[k] / best.c_star - 1.0),
-        )
+    checks = {c.name: c for c in validate_suite().checks}
+    grid_dev = checks["concurrence_maximum_grid"].deviation
     elapsed = time.perf_counter() - t0
     report(
         8,
@@ -252,7 +240,7 @@ def test_criterion_08_entanglement_identities():
         f"concurrence optimum grid deviation {grid_dev:.2e} < 1e-3 ({elapsed:.2f}s)",
     )
     assert worst < 1e-12
-    assert grid_dev < 1e-3
+    assert 0.0 < grid_dev < 1e-3
     assert elapsed < 5.0
 
 

@@ -156,6 +156,34 @@ def test_empty_out_is_a_config_error(capsys):
     assert _one_line_error(capsys) == "config error: key 'output_dir': must not be empty\n"
 
 
+@pytest.mark.parametrize(
+    "name,needle",
+    [("bad.cfg", "utf-8"), ("nul\0.cfg", "null byte")],
+    ids=["not utf-8", "nul in path"],
+)
+def test_unreadable_config_file_is_a_config_error(name, needle, tmp_path, capsys):
+    config = str(tmp_path / name)
+    (tmp_path / "bad.cfg").write_bytes(b"\xff\xfen_sites = 21\n")
+    code = main(["evolve", "--config", config, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = _one_line_error(capsys)
+    assert err.startswith(f"config error: cannot read config file {config!r}: ")
+    assert needle in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_nul_in_config_output_dir_is_a_config_error(tmp_path, capsys):
+    # --out would override the key, so the NUL comes from the file alone.
+    config = tmp_path / "nul.cfg"
+    config.write_text(f"output_dir = {tmp_path / 'run'}\0x\n", encoding="utf-8")
+    code = main(["evolve", *TINY, "--config", str(config)])
+    assert code == 1
+    assert _one_line_error(capsys) == (
+        "config error: key 'output_dir': must not contain a NUL byte\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_positional_and_out_follow_the_set_rules(tmp_path):
     # Both are overrides like --set ones, so surrounding whitespace goes.
     code = main([" evolve ", *TINY, "--out", f" {tmp_path / 'run'} "])

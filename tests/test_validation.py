@@ -63,6 +63,14 @@ class TestSuite:
         by_name = {c.name: c for c in report.checks}
         assert by_name["propagator_vs_matrix_exponential"].passed
 
+    def test_concurrence_check_runs_the_production_formula(self, monkeypatch):
+        # The check reads production concurrence, so doubling the pair
+        # formula must trip it, and only it.
+        real = observables._pair_concurrence
+        monkeypatch.setattr(observables, "_pair_concurrence",
+                            lambda m_i, m_j: 2.0 * real(m_i, m_j))
+        assert validate_suite().failures == ("concurrence_maximum_grid",)
+
 
 def test_scipy_linalg_stays_off_the_import_path():
     # Only validate's matrix-exponential check needs scipy.linalg; importing
