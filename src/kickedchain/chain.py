@@ -198,9 +198,13 @@ class EvolutionContext:
     ladder ceil(N / 2**(k/2))."""
 
     params: ChainParams
-    pad: int
     band_taps: np.ndarray
     kick_factors: np.ndarray
+
+    @property
+    def pad(self) -> int:
+        """Sites of mirror padding on each side: the band's half-width."""
+        return self.band_taps.size // 2
 
 
 def make_context(p: ChainParams) -> EvolutionContext:
@@ -209,7 +213,7 @@ def make_context(p: ChainParams) -> EvolutionContext:
     kick = kick_phases(p)
     for arr in (taps, kick):
         arr.setflags(write=False)
-    return EvolutionContext(params=p, pad=taps.size // 2, band_taps=taps, kick_factors=kick)
+    return EvolutionContext(params=p, band_taps=taps, kick_factors=kick)
 
 
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:

@@ -1,15 +1,22 @@
 """Strict key=value experiment configuration.
 
 One ``key = value`` per line, ``#`` starts a comment, unknown keys are
-rejected by name.  The defaults reproduce the headline accelerator-mode
-run: a 1401-site chain kicked at b_q = 1/15 with hopping phase 100.
-Every run evolves the open chain by the banded ring-kernel hop; the
-dense matrices in ``chain`` are test oracles and no key selects them.
+rejected by name.  ``ExperimentConfig`` declares the nine keys once: one
+field per key, in the documented order, each with its default.  The
+parser of a key follows its default's type, ``DEFAULTS`` and
+``config_values`` are read from the fields, and the type validates itself
+on construction, so ``parse_config``, ``apply_overrides``, a direct
+``ExperimentConfig(...)`` and ``dataclasses.replace`` all refuse a bad
+value with the same one-line ``ConfigError``.  The defaults reproduce the
+headline accelerator-mode run: a 1401-site chain kicked at b_q = 1/15
+with hopping phase 100.  Every run evolves the open chain by the banded
+ring-kernel hop; the dense matrices in ``chain`` are test oracles and no
+key selects them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .chain import MAX_SNAPSHOT_VALUES
 from .errors import ConfigError
@@ -21,29 +28,53 @@ EXPERIMENTS = (
 )
 FORMATS = ("csv", "json")
 
-DEFAULTS = {
-    "experiment": "fig1",
-    "n_sites": 1401,
-    "center": 701,
-    "beta": 100.0,
-    "b_q": 1.0 / 15.0,
-    "n_periods": 6,
-    "record_every": 1,
-    "output_dir": "out",
-    "format": "csv",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run description; ``chain`` carries the physical geometry."""
+    """Validated run description, one field per configuration key.
 
-    experiment: str
-    chain: ChainParams
-    n_periods: int
-    record_every: int
-    output_dir: str
-    format: str
+    ``chain`` is the physical geometry built from n_sites, center, beta and
+    b_q; it is derived, so it takes no argument and no part in equality.
+    """
+
+    experiment: str = "fig1"
+    n_sites: int = 1401
+    center: int = 701
+    beta: float = 100.0
+    b_q: float = 1.0 / 15.0
+    n_periods: int = 6
+    record_every: int = 1
+    output_dir: str = "out"
+    format: str = "csv"
+    chain: ChainParams = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for key, allowed in (("experiment", EXPERIMENTS), ("format", FORMATS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"key '{key}': must be one of {', '.join(allowed)}, got {value!r}")
+        if not self.output_dir:
+            raise ConfigError("key 'output_dir': must not be empty")
+        if "\0" in self.output_dir:
+            raise ConfigError("key 'output_dir': must not contain a NUL byte")
+        if self.n_periods < 0:
+            raise ConfigError(f"key 'n_periods': must be nonnegative, got {self.n_periods}")
+        if self.record_every < 1:
+            raise ConfigError(f"key 'record_every': must be >= 1, got {self.record_every}")
+        if self.n_sites > MAX_SNAPSHOT_VALUES:
+            # The period-0 snapshot alone would exceed the evolution's budget.
+            raise ConfigError(
+                f"chain geometry: n_sites={self.n_sites} exceeds the budget of "
+                f"{MAX_SNAPSHOT_VALUES} stored amplitudes"
+            )
+        try:
+            chain = ChainParams(self.n_sites, self.center, self.beta, self.b_q)
+        except ValueError as exc:
+            raise ConfigError(f"chain geometry: {exc}") from exc
+        object.__setattr__(self, "chain", chain)
+
+
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -55,65 +86,18 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        val = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
-    return val
 
 
-def _parse_choice(key: str, raw: str, allowed: tuple[str, ...]) -> str:
-    if raw not in allowed:
-        raise ConfigError(f"key '{key}': must be one of {', '.join(allowed)}, got {raw!r}")
-    return raw
-
-
-def _validated(values: dict) -> ExperimentConfig:
-    if values["n_periods"] < 0:
-        raise ConfigError(f"key 'n_periods': must be nonnegative, got {values['n_periods']}")
-    if values["record_every"] < 1:
-        raise ConfigError(f"key 'record_every': must be >= 1, got {values['record_every']}")
-    if values["n_sites"] > MAX_SNAPSHOT_VALUES:
-        # The period-0 snapshot alone would exceed the evolution's budget.
-        raise ConfigError(
-            f"chain geometry: n_sites={values['n_sites']} exceeds the budget of "
-            f"{MAX_SNAPSHOT_VALUES} stored amplitudes"
-        )
-    try:
-        chain = ChainParams(
-            n_sites=values["n_sites"],
-            center=values["center"],
-            beta=values["beta"],
-            b_q=values["b_q"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"chain geometry: {exc}") from exc
-    return ExperimentConfig(
-        experiment=values["experiment"],
-        chain=chain,
-        n_periods=values["n_periods"],
-        record_every=values["record_every"],
-        output_dir=values["output_dir"],
-        format=values["format"],
-    )
+_PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, raw: raw}
 
 
 def _apply(values: dict, key: str, raw: str) -> None:
-    if key == "experiment":
-        values[key] = _parse_choice(key, raw, EXPERIMENTS)
-    elif key in ("n_sites", "center", "n_periods", "record_every"):
-        values[key] = _parse_int(key, raw)
-    elif key in ("beta", "b_q"):
-        values[key] = _parse_float(key, raw)
-    elif key == "format":
-        values[key] = _parse_choice(key, raw, FORMATS)
-    elif key == "output_dir":
-        if not raw:
-            raise ConfigError("key 'output_dir': must not be empty")
-        if "\0" in raw:
-            raise ConfigError("key 'output_dir': must not contain a NUL byte")
-        values[key] = raw
-    else:
+    if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key '{key}'")
+    values[key] = _PARSERS[type(DEFAULTS[key])](key, raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -127,7 +111,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         _apply(values, key.strip(), raw.strip())
-    return _validated(values)
+    return ExperimentConfig(**values)
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
@@ -138,20 +122,9 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
             raise ConfigError(f"override {item!r}: expected 'key=value'")
         key, _, raw = item.partition("=")
         _apply(values, key.strip(), raw.strip())
-    return _validated(values)
+    return ExperimentConfig(**values)
 
 
 def config_values(cfg: ExperimentConfig) -> dict:
     """Flat key-value view of a config, in the documented key order."""
-    return {
-        "experiment": cfg.experiment,
-        "n_sites": cfg.chain.n_sites,
-        "center": cfg.chain.center,
-        "beta": cfg.chain.beta,
-        "b_q": cfg.chain.b_q,
-        "n_periods": cfg.n_periods,
-        "record_every": cfg.record_every,
-        "output_dir": cfg.output_dir,
-        "format": cfg.format,
-    }
-
+    return {key: getattr(cfg, key) for key in DEFAULTS}

@@ -115,8 +115,7 @@ def _table(header: tuple[str, ...], rows: list[tuple] | _SiteGrid, fmt: str) -> 
             return rows.csv_text(",".join(header))
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
-    payload = {"columns": list(header), "rows": [list(row) for row in rows]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text({"columns": list(header), "rows": [list(row) for row in rows]})
 
 
 def _json_text(payload) -> str:

@@ -192,10 +192,11 @@ def concurrence_profile_max(d: float) -> ConcurrenceMax:
     The normaliser is sum_s e^{-2|s|/L} = coth(1/L), so the pair value is
     4 tanh(1/L) e^{-2d/L}.  It peaks where sinh(2/L) = 1/d, at
     L* = 2/asinh(1/d), with C* = 4/(d + sqrt(d^2 + 1)) * e^{-2d/L*}
-    (continuum limits 2d and 2/(d*e)).  Exact on the lattice for integer d.
+    (continuum limits 2d and 2/(d*e)).  Exact on the lattice for integer d;
+    d < 1 is no lattice half-separation and is refused.
     """
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"site separation d must be positive, got {d!r}")
+    if not (math.isfinite(d) and d >= 1.0):
+        raise ValueError(f"site separation d must be finite and >= 1, got {d!r}")
     two_over_l = math.asinh(1.0 / d)
     return ConcurrenceMax(
         l_star=2.0 / two_over_l,

@@ -1,14 +1,18 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from kickedchain import (
     DEFAULTS,
+    EXPERIMENTS,
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     config_values,
     parse_config,
 )
+from kickedchain.experiments import _RUNNERS
 
 
 class TestDefaults:
@@ -97,3 +101,36 @@ def test_readme_keys_block_is_the_defaults():
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if line.strip()]
     assert keys == list(DEFAULTS)
     assert config_values(parse_config(block)) == DEFAULTS
+
+
+@pytest.mark.parametrize("key,value", [
+    ("format", "xml"),
+    ("experiment", "bogus"),
+    ("n_periods", -1),
+    ("record_every", 0),
+    ("output_dir", ""),
+    ("output_dir", "out\0dir"),
+    ("n_sites", 20_000_001),
+    ("n_sites", 201),  # the default centre 701 lies past the chain's end
+])
+def test_every_construction_path_refuses_alike(key, value):
+    # The type validates itself: a direct construction and a
+    # dataclasses.replace give the one-line error the parser gives.
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"{key} = {value}\n")
+    message = str(parsed.value)
+    for build in (lambda: ExperimentConfig(**{key: value}),
+                  lambda: replace(parse_config(""), **{key: value})):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == message
+
+
+def test_config_is_its_own_defaults():
+    assert ExperimentConfig() == parse_config("")
+    assert config_values(ExperimentConfig()) == DEFAULTS
+    assert ExperimentConfig(beta=50.0).chain == parse_config("beta = 50\n").chain
+
+
+def test_every_experiment_has_a_runner():
+    assert list(_RUNNERS) == list(EXPERIMENTS)

@@ -158,6 +158,14 @@ class TestEntanglementMeasures:
         with pytest.raises(ValueError):
             concurrence_profile_max(0.0)
 
+    @pytest.mark.parametrize("d", [5e-324, 1e-310, 0.5, math.nextafter(1.0, 0.0)])
+    def test_profile_maximum_refuses_sub_lattice_separation(self, d):
+        # Below one site there is no lattice pair; near 1e-308, 1/d
+        # overflows and the closed form would read C* = 0 where C* -> 4.
+        with pytest.raises(ValueError, match="site separation d must be finite and >= 1"):
+            concurrence_profile_max(d)
+        assert concurrence_profile_max(1.0).c_star > 0.0
+
 
 def packet_state(n: int, peaks: list[tuple[float, float, float]]) -> SpinState:
     """Profile from Gaussian (position, width_param, weight) triples.
