@@ -5,13 +5,13 @@ rejected by name.  ``ExperimentConfig`` declares the nine keys once: one
 field per key, in the documented order, each with its default.  The
 parser of a key follows its default's type, ``DEFAULTS`` and
 ``config_values`` are read from the fields, and the type validates itself
-on construction, so ``parse_config``, ``apply_overrides``, a direct
-``ExperimentConfig(...)`` and ``dataclasses.replace`` all refuse a bad
-value with the same one-line ``ConfigError``.  The defaults reproduce the
-headline accelerator-mode run: a 1401-site chain kicked at b_q = 1/15
-with hopping phase 100.  Every run evolves the open chain by the banded
-ring-kernel hop; the dense matrices in ``chain`` are test oracles and no
-key selects them.
+on construction, checking each value's type against its default's first.
+So ``parse_config``, ``apply_overrides``, a direct ``ExperimentConfig(...)``
+and ``dataclasses.replace`` all refuse a bad value with the same one-line
+``ConfigError``.  The defaults reproduce the headline accelerator-mode
+run: a 1401-site chain kicked at b_q = 1/15 with hopping phase 100.  Every
+run evolves the open chain by the banded ring-kernel hop; the dense
+matrices in ``chain`` are test oracles and no key selects them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ EXPERIMENTS = (
     "entanglement", "accel", "protocol", "validate",
 )
 FORMATS = ("csv", "json")
+
+# Per default type: the types a field accepts (bool never), their name in
+# messages, and the parser of a key's raw text.
+_KINDS = {
+    int: (int, "an integer", lambda raw: int(raw, 10)),
+    float: ((int, float), "a number", float),
+    str: (str, "a string", str),
+}
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,11 @@ class ExperimentConfig:
     chain: ChainParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for key, default in DEFAULTS.items():
+            value = getattr(self, key)
+            accepted, noun, _ = _KINDS[type(default)]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"key '{key}': expected {noun}, got {value!r}")
         for key, allowed in (("experiment", EXPERIMENTS), ("format", FORMATS)):
             value = getattr(self, key)
             if value not in allowed:
@@ -77,27 +90,14 @@ class ExperimentConfig:
 DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
-
-
-_PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, raw: raw}
-
-
 def _apply(values: dict, key: str, raw: str) -> None:
     if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key '{key}'")
-    values[key] = _PARSERS[type(DEFAULTS[key])](key, raw)
+    _, noun, parse = _KINDS[type(DEFAULTS[key])]
+    try:
+        values[key] = parse(raw)
+    except ValueError:
+        raise ConfigError(f"key '{key}': expected {noun}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -17,6 +17,7 @@ row by row.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -122,12 +123,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _mode_report_dict(report: ModeReport) -> dict:
-    payload = asdict(report)
-    payload["pulse"] = payload.pop("pulse_index")
-    return payload
-
-
 def _trajectory(cfg: ExperimentConfig, record_every: int | None = None):
     ctx = make_context(cfg.chain)
     start = site_state(cfg.chain.n_sites, cfg.chain.center)
@@ -159,7 +154,7 @@ def _run_fig1(cfg: ExperimentConfig) -> dict:
     reports = _mode_reports(cfg, traj)
     return {
         **_distribution(cfg, traj),
-        "modes.json": _json_text({"reports": [_mode_report_dict(r) for r in reports]}),
+        "modes.json": _json_text({"reports": [asdict(r) for r in reports]}),
     }
 
 
@@ -231,7 +226,7 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
     pulse_range = [multiples[0], (final or multiples)[-1]]
     decay = {**asdict(mode_decay(reports)), "pulse_range": pulse_range}
     return {
-        "modes.json": _json_text({"reports": [_mode_report_dict(r) for r in reports]}),
+        "modes.json": _json_text({"reports": [asdict(r) for r in reports]}),
         "decay.json": _json_text(decay),
     }
 
@@ -268,9 +263,15 @@ _RUNNERS = {
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # A failed write or rename, or a Ctrl-C, leaves no temp file behind.
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _derived_dict(p: ChainParams) -> dict:

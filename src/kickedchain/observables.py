@@ -1,11 +1,14 @@
 """Measurements on evolved states: spreading, localization, entanglement,
 and detection of the ballistic accelerator-mode wavepackets.
 
-Every measurement takes a ``SpinState`` and reads ``|a|^2`` itself.  This
-module owns the packet geometry built on the advance of 2*pi/b_q sites per
-period, which ``params.derived_params`` owns as ``hop_distance``: the
-corridor, the packet margin, ``packet_centers``, ``trackable_pulses``, and
-the pulse window of the decay fit.
+Every measurement takes a ``SpinState`` and reads ``|a|^2`` itself.  The
+localization fit reads each tail of the profile as one slice, in which
+entry d is the site d away from the peak.  A ``ModeReport`` names its
+pulse ``pulse``, the key of ``modes.json``, so that file is the reports'
+``asdict``.  This module owns the packet geometry built on the advance of
+2*pi/b_q sites per period, which ``params.derived_params`` owns as
+``hop_distance``: the corridor, the packet margin, ``packet_centers``,
+``trackable_pulses``, and the pulse window of the decay fit.
 
 Site coordinates here are 1-based, matching the chain convention; fitted
 peak positions are real-valued in the same coordinate.
@@ -93,30 +96,24 @@ def fit_localization_length(state: SpinState, s0: int) -> LocalizationFit:
     if peak <= 0.0:
         raise NotLocalizedError("distribution has no probability mass")
 
-    offsets: list[float] = []
+    # tail[d] is the site d away from s0; a stop past the start would wrap
+    # around, so it is clamped at 0.
+    offsets: list[np.ndarray] = []
     logs: list[float] = []
     edge_values: list[float] = []
-    outer_used = 0
-    for direction in (-1, +1):
-        if direction < 0:
-            cap = s0 - 1 - EDGE_MARGIN
-        else:
-            cap = n - EDGE_MARGIN - s0
-        last = 0
-        for d in range(2, cap + 1):
-            val = probs[s0 - 1 + direction * d]
-            if val < FIT_FLOOR:
-                break
-            offsets.append(float(d))
-            logs.append(math.log(val))
-            last = d
-        if last:
-            edge_values.append(float(probs[s0 - 1 + direction * last]))
-            outer_used = max(outer_used, last)
+    for tail in (probs[s0 - 1::-1], probs[s0 - 1:]):
+        window = tail[2:max(tail.size - EDGE_MARGIN, 0)]
+        below = np.flatnonzero(window < FIT_FLOOR)
+        window = window[:below[0] if below.size else window.size]
+        if window.size:
+            offsets.append(np.arange(2, window.size + 2, dtype=np.float64))
+            # math.log, not np.log: the two differ in the last bit for some values.
+            logs.extend(map(math.log, window.tolist()))
+            edge_values.append(float(window[-1]))
 
-    if len(offsets) < 8:
+    if len(logs) < 8:
         raise NotLocalizedError(
-            f"only {len(offsets)} usable sites in the fit window; profile too narrow"
+            f"only {len(logs)} usable sites in the fit window; profile too narrow"
         )
     decay = math.log10(peak / max(edge_values))
     if decay < MIN_DECAY_ORDERS:
@@ -124,7 +121,7 @@ def fit_localization_length(state: SpinState, s0: int) -> LocalizationFit:
             f"profile decays only {decay:.2f} decades across the window "
             f"(need >= {MIN_DECAY_ORDERS})"
         )
-    x = np.asarray(offsets)
+    x = np.concatenate(offsets)
     y = np.asarray(logs)
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
@@ -138,7 +135,7 @@ def fit_localization_length(state: SpinState, s0: int) -> LocalizationFit:
         length=float(-2.0 / slope),
         intercept=float(intercept),
         residual=residual,
-        window=(2, outer_used),
+        window=(2, int(x.max())),
     )
 
 
@@ -282,7 +279,7 @@ class GaussianMode:
 class ModeReport:
     """Fitted packets at one pulse; remnant_weight is everything not in a mode."""
 
-    pulse_index: int
+    pulse: int
     modes: tuple[GaussianMode, ...]
     remnant_weight: float
 
@@ -369,7 +366,7 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     b = remnant_halfwidth(pulse_index, p)
     n = p.n_sites
     center0 = p.center - 1  # 0-based
-    offsets = np.arange(n, dtype=np.float64) - center0
+    interior = np.arange(1, n - 1)
     advance = derived_params(p).hop_distance
     corridor = CORRIDOR_FRACTION * advance
     ballistic = advance * pulse_index
@@ -379,17 +376,13 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
 
     accepted: list[GaussianMode] = []
     for side in (-1, +1):
-        region = np.nonzero((offsets * side > b) & (np.arange(n) > 0) & (np.arange(n) < n - 1))[0]
+        region = interior[(interior - center0) * side > b]
         if region.size < 3:
             continue
         local_max = region[(probs[region] >= probs[region - 1]) & (probs[region] >= probs[region + 1])]
-        if local_max.size == 0:
-            continue
         order = local_max[np.argsort(probs[local_max])[::-1][:12]]
         order = order[np.abs(np.abs(order - center0) - ballistic) <= reach]
         for i_peak in order:
-            if probs[i_peak] <= 0.0:
-                continue
             mode = _fit_gaussian_peak(probs, int(i_peak))
             if mode is None or mode.weight <= MODE_WEIGHT_THRESHOLD:
                 continue
@@ -404,11 +397,7 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     # everything not captured by a fitted packet counts as remnant, so the
     # report always partitions total probability
     remnant = 1.0 - sum(m.weight for m in accepted)
-    return ModeReport(
-        pulse_index=pulse_index,
-        modes=tuple(accepted),
-        remnant_weight=remnant,
-    )
+    return ModeReport(pulse=pulse_index, modes=tuple(accepted), remnant_weight=remnant)
 
 
 @dataclass(frozen=True)
@@ -428,13 +417,12 @@ def mode_decay(reports: Iterable[ModeReport]) -> ModeDecayFit:
     around the trend instead of scattering (their signs alternate and their
     size is well above numerical noise).
     """
-    pts = []
-    for r in reports:
-        if not r.modes or r.pulse_index < MODE_DECAY_FIRST_PULSE:
-            continue
-        top = sorted((m.weight for m in r.modes), reverse=True)[:2]
-        pts.append((r.pulse_index, sum(top)))
-    pts = [(j, w) for j, w in pts if w > 0.0]
+    # A report without modes sums to 0, so it drops out with the zero weights.
+    pts = [
+        (r.pulse, w) for r in reports
+        if r.pulse >= MODE_DECAY_FIRST_PULSE
+        and (w := sum(sorted((m.weight for m in r.modes), reverse=True)[:2])) > 0.0
+    ]
     if len(pts) < MODE_DECAY_MIN_PULSES:
         raise InsufficientDataError(f"mode-decay fit needs >= {MODE_DECAY_MIN_PULSES} pulses "
                                     f"with detected modes, found {len(pts)}")

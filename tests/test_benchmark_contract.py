@@ -47,8 +47,12 @@ def test_traced_pass_counts_every_layer_and_uninstall_restores(tmp_path):
         tracer.uninstall()
 
     metrics = tracer.pass_metrics()[0]
+    # A timed metric reads 0 when the function it wraps was renamed away.
     for key in ("chain.periods", "state.snapshots", "experiments.rows",
-                "observables.detect_calls", "observables.mode_fits"):
+                "observables.detect_calls", "observables.mode_fits",
+                "observables.fit_localization_s", "observables.detect_modes_s",
+                "protocol.measurement_window_s", "experiments.render_s",
+                "experiments.write_s", "config.parse_s"):
         assert metrics[key] > 0, key
     # Every table row is rendered by _table and counted once: fig1's
     # distribution plus localization's profile (protocol writes only JSON).

@@ -3,8 +3,10 @@ run past the snapshot memory budget in exit 2, an interrupt in exit 130,
 each with one line on stderr, never a traceback."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import re
 import tempfile
 
@@ -140,6 +142,21 @@ def test_interrupt_is_one_line_and_exit_130(monkeypatch, tmp_path, capsys):
     assert code == 130
     assert _one_line_error(capsys) == "interrupted\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("error,code,line", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 1, "output error: "),
+    (KeyboardInterrupt(), 130, "interrupted"),
+])
+def test_failed_write_leaves_no_temp_file(error, code, line, monkeypatch, tmp_path, capsys):
+    def failing_replace(src, dst):
+        raise error
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "run"
+    assert main(["diffusion", *TINY, "--out", str(out)]) == code
+    assert _one_line_error(capsys).startswith(line)
+    assert out.is_dir() and not list(out.glob("*.tmp"))
 
 
 def test_bad_positional_experiment_is_a_config_error(tmp_path, capsys):

@@ -126,6 +126,24 @@ def test_every_construction_path_refuses_alike(key, value):
         assert str(built.value) == message
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("record_every", 2.5, "key 'record_every': expected an integer, got 2.5"),
+    ("n_periods", "3", "key 'n_periods': expected an integer, got '3'"),
+    ("beta", "1", "key 'beta': expected a number, got '1'"),
+    ("output_dir", 5, "key 'output_dir': expected a string, got 5"),
+    ("n_sites", True, "key 'n_sites': expected an integer, got True"),
+])
+def test_construction_checks_each_value_type(key, value, message):
+    # Values of the wrong type never reach the range checks, which would
+    # accept 2.5 or end in a TypeError.
+    for build in (lambda: ExperimentConfig(**{key: value}),
+                  lambda: replace(parse_config(""), **{key: value})):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == message
+    assert ExperimentConfig(beta=50).chain == ExperimentConfig(beta=50.0).chain
+
+
 def test_config_is_its_own_defaults():
     assert ExperimentConfig() == parse_config("")
     assert config_values(ExperimentConfig()) == DEFAULTS

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +269,12 @@ class TestTrackablePulses:
         for b_q in (0.0, 5e-324):
             p = ChainParams(n_sites=101, center=51, beta=10.0, b_q=b_q)
             assert trackable_pulses(p) == 0
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[:6]] == ["1", "2", "3", "4", "5", "6"]
+    assert len(lines) == 7 and lines[-1].startswith("ProtocolReport(")

@@ -24,6 +24,7 @@ from kickedchain import (
     site_state,
     spread_variance,
 )
+from kickedchain.observables import EDGE_MARGIN, FIT_FLOOR, MIN_DECAY_ORDERS, RESIDUAL_TOL
 from kickedchain.errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -71,6 +72,88 @@ class TestDistribution:
         assert fit_localization_length(state, s0).length == pytest.approx(20.0, rel=0.01)
 
 
+def exponential_state(n: int, s0: int, length: float) -> SpinState:
+    return normalized_state(np.exp(-2.0 * np.abs(np.arange(1, n + 1) - s0) / length))
+
+
+@st.composite
+def localization_cases(draw):
+    """A noisy exponential profile with runs of zeros and of values below
+    FIT_FLOOR at random depths, and a peak site anywhere on the chain,
+    often within EDGE_MARGIN + 2 of an end."""
+    n = draw(st.integers(2, 200))
+    near_end = EDGE_MARGIN + 2
+    s0 = draw(st.one_of(st.integers(1, min(n, near_end)),
+                        st.integers(max(1, n - near_end + 1), n),
+                        st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.floats(0.0, 4.0))
+    weights = exponential_state(n, s0, draw(st.floats(0.5, 40.0))).amplitudes.real ** 2
+    weights *= np.exp(noise * rng.standard_normal(n))
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(lo + 1, min(n, lo + 6)))
+        weights[lo:stop] = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-8)))
+    assume(weights.sum() > 0.0)
+    return normalized_state(weights), s0
+
+
+def fit_by_site_walk(state: SpinState, s0: int) -> observables.LocalizationFit:
+    """The localization fit with its window found by walking each tail site
+    by site: the reference the sliced window must reproduce bit for bit."""
+    n = state.n_sites
+    probs = np.abs(state.amplitudes) ** 2
+    peak = float(probs.max())
+    if peak <= 0.0:
+        raise NotLocalizedError("distribution has no probability mass")
+    offsets: list[float] = []
+    logs: list[float] = []
+    edge_values: list[float] = []
+    outer_used = 0
+    for direction in (-1, +1):
+        if direction < 0:
+            cap = s0 - 1 - EDGE_MARGIN
+        else:
+            cap = n - EDGE_MARGIN - s0
+        last = 0
+        for d in range(2, cap + 1):
+            val = probs[s0 - 1 + direction * d]
+            if val < FIT_FLOOR:
+                break
+            offsets.append(float(d))
+            logs.append(math.log(val))
+            last = d
+        if last:
+            edge_values.append(float(probs[s0 - 1 + direction * last]))
+            outer_used = max(outer_used, last)
+    if len(offsets) < 8:
+        raise NotLocalizedError(
+            f"only {len(offsets)} usable sites in the fit window; profile too narrow"
+        )
+    decay = math.log10(peak / max(edge_values))
+    if decay < MIN_DECAY_ORDERS:
+        raise NotLocalizedError(
+            f"profile decays only {decay:.2f} decades across the window "
+            f"(need >= {MIN_DECAY_ORDERS})"
+        )
+    x = np.asarray(offsets)
+    y = np.asarray(logs)
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    if slope >= 0.0:
+        raise NotLocalizedError(f"envelope does not decay (slope = {slope:.3e})")
+    if residual > RESIDUAL_TOL:
+        raise NotLocalizedError(
+            f"log-profile scatter {residual:.2f} exceeds tolerance {RESIDUAL_TOL}"
+        )
+    return observables.LocalizationFit(
+        length=float(-2.0 / slope),
+        intercept=float(intercept),
+        residual=residual,
+        window=(2, outer_used),
+    )
+
+
 class TestLocalizationFit:
     def test_recovers_synthetic_length(self):
         n, s0, length = 1401, 701, 20.0
@@ -87,6 +170,23 @@ class TestLocalizationFit:
     def test_bounds_check(self):
         with pytest.raises(ValueError):
             fit_localization_length(normalized_state(np.array([0.5, 0.5])), 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=localization_cases())
+    @example(case=(exponential_state(60, 4, 3.0), 4))
+    @example(case=(exponential_state(60, 57, 3.0), 57))
+    def test_matches_the_site_by_site_walk(self, case):
+        # At s0 = 4 or N - 3 the cap EDGE_MARGIN short of the near end lies
+        # before d = 2, so that tail contributes nothing.
+        state, s0 = case
+        try:
+            expected = fit_by_site_walk(state, s0)
+        except NotLocalizedError as exc:
+            with pytest.raises(NotLocalizedError) as raised:
+                fit_localization_length(state, s0)
+            assert str(raised.value) == str(exc)
+        else:
+            assert repr(fit_localization_length(state, s0)) == repr(expected)
 
 
 class TestEntanglementMeasures:
@@ -294,7 +394,7 @@ def fit_every_candidate(state: SpinState, pulse_index: int, p: ChainParams) -> M
                 continue
             accepted.append(mode)
     accepted.sort(key=lambda m: m.position)
-    return ModeReport(pulse_index=pulse_index, modes=tuple(accepted),
+    return ModeReport(pulse=pulse_index, modes=tuple(accepted),
                       remnant_weight=1.0 - sum(m.weight for m in accepted))
 
 
@@ -384,7 +484,7 @@ def synthetic_reports(pulses, weights_per_pulse) -> list[ModeReport]:
     for j, w in zip(pulses, weights_per_pulse):
         mode = GaussianMode(position=100.0 * j, amplitude=1.0, width_parameter=0.1, weight=w / 2)
         reports.append(
-            ModeReport(pulse_index=j, modes=(mode, mode), remnant_weight=1.0 - w)
+            ModeReport(pulse=j, modes=(mode, mode), remnant_weight=1.0 - w)
         )
     return reports
 
@@ -421,6 +521,6 @@ class TestModeDecay:
     def test_skips_empty_reports(self):
         pulses = list(range(2, 21))
         reports = synthetic_reports(pulses, [math.exp(-j / 24.0) for j in pulses])
-        reports.insert(0, ModeReport(pulse_index=1, modes=(), remnant_weight=1.0))
+        reports.insert(0, ModeReport(pulse=1, modes=(), remnant_weight=1.0))
         fit = mode_decay(reports)
         assert fit.rate == pytest.approx(1.0 / 24.0, rel=1e-9)
