@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import EXPERIMENTS, apply_overrides, parse_config
+from .config import EXPERIMENTS, parse_config
 from .errors import CapacityError, ConfigError, KickedChainError, MemoryBudgetError
 from .experiments import run_experiment
 
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = [*args.overrides, f"experiment={args.experiment}"]
         if args.out is not None:
             overrides.append(f"output_dir={args.out}")
-        cfg = apply_overrides(parse_config(text), overrides)
+        cfg = parse_config(text, overrides)
         manifest = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ rejected by name.  ``ExperimentConfig`` declares the nine keys once: one
 field per key, in the documented order, each with its default.  The
 parser of a key follows its default's type, ``DEFAULTS`` and
 ``config_values`` are read from the fields, and the type validates itself
-on construction, checking each value's type against its default's first.
-So ``parse_config``, ``apply_overrides``, a direct ``ExperimentConfig(...)``
+on construction, storing each value as its default's type.  So
+``parse_config``, ``apply_overrides``, a direct ``ExperimentConfig(...)``
 and ``dataclasses.replace`` all refuse a bad value with the same one-line
 ``ConfigError``.  The defaults reproduce the headline accelerator-mode
 run: a 1401-site chain kicked at b_q = 1/15 with hopping phase 100.  Every
@@ -16,6 +16,7 @@ matrices in ``chain`` are test oracles and no key selects them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from .chain import MAX_SNAPSHOT_VALUES
@@ -60,8 +61,13 @@ class ExperimentConfig:
         for key, default in DEFAULTS.items():
             value = getattr(self, key)
             accepted, noun, _ = _KINDS[type(default)]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"key '{key}': expected {noun}, got {value!r}")
+            try:
+                if isinstance(value, bool) or not isinstance(value, accepted):
+                    raise TypeError
+                # Stored as its default's type, so beta=100 echoes as 100.0.
+                object.__setattr__(self, key, type(default)(value))
+            except (TypeError, OverflowError):
+                raise ConfigError(f"key '{key}': expected {noun}, got {value!r}") from None
         for key, allowed in (("experiment", EXPERIMENTS), ("format", FORMATS)):
             value = getattr(self, key)
             if value not in allowed:
@@ -72,6 +78,9 @@ class ExperimentConfig:
             raise ConfigError("key 'output_dir': must not contain a NUL byte")
         if self.n_periods < 0:
             raise ConfigError(f"key 'n_periods': must be nonnegative, got {self.n_periods}")
+        if self.n_periods > 2**53:
+            # Rounding of 2**-53 per period may add up to the whole norm.
+            raise ConfigError(f"key 'n_periods': must be <= 2**53, got {self.n_periods}")
         if self.record_every < 1:
             raise ConfigError(f"key 'record_every': must be >= 1, got {self.record_every}")
         if self.n_sites > MAX_SNAPSHOT_VALUES:
@@ -100,8 +109,20 @@ def _apply(values: dict, key: str, raw: str) -> None:
         raise ConfigError(f"key '{key}': expected {noun}, got {raw!r}") from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse configuration text, applying defaults for absent keys."""
+def _build(values: dict, overrides: Iterable[str]) -> ExperimentConfig:
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r}: expected 'key=value'")
+        key, _, raw = item.partition("=")
+        _apply(values, key.strip(), raw.strip())
+    return ExperimentConfig(**values)
+
+
+def parse_config(text: str, overrides: Iterable[str] = ()) -> ExperimentConfig:
+    """Parse configuration text, then ``key=value`` overrides (CLI --set).
+
+    Only the result is validated, so an override may complete the text.
+    """
     values = dict(DEFAULTS)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -111,18 +132,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         _apply(values, key.strip(), raw.strip())
-    return ExperimentConfig(**values)
+    return _build(values, overrides)
 
 
-def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
+def apply_overrides(cfg: ExperimentConfig, overrides: Iterable[str]) -> ExperimentConfig:
     """Apply ``key=value`` strings (CLI --set) on top of an existing config."""
-    values = config_values(cfg)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected 'key=value'")
-        key, _, raw = item.partition("=")
-        _apply(values, key.strip(), raw.strip())
-    return ExperimentConfig(**values)
+    return _build(config_values(cfg), overrides)
 
 
 def config_values(cfg: ExperimentConfig) -> dict:

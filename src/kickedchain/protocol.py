@@ -2,11 +2,12 @@
 
 After j driving periods the state is a chaotic central remnant plus a pair
 of counter-propagating accelerator-mode packets.  Projectively measuring
-the central region and finding the excitation absent (probability roughly
-the weight carried by the packets) leaves a renormalized state close to an
-equal superposition of two Gaussians at center +- 2*pi*j/b_q.  The packet
-geometry (centers, margins, detection) comes from ``observables``; this
-module measures and grades.
+the central region heralds the pair: the branch where the excitation is
+absent (probability roughly the weight carried by the packets) is close to
+an equal superposition of two Gaussians at center +- 2*pi*j/b_q, and it is
+the only branch ``central_measurement`` returns.  The packet geometry
+(centers, margins, detection) comes from ``observables``; this module
+measures and grades.
 """
 
 from __future__ import annotations
@@ -34,45 +35,23 @@ EMPTY_BRANCH_EPS = 1e-12
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One branch of the two-outcome central measurement.
+    """The heralded branch of the central measurement: excitation absent.
 
-    ``success`` identifies the branch: True means the excitation was NOT
-    found inside the window.  ``post_state`` is the renormalized projection
-    onto the branch's site set, or None when the branch carries no
-    probability.
+    ``probability`` is the weight outside the window; the other branch,
+    excitation found, has probability one minus it.  ``post_state`` is the
+    renormalized projection onto the sites outside the window, or None when
+    the branch carries no probability.
     """
 
-    success: bool
     probability: float
     post_state: SpinState | None
 
 
-def _branch(flag: bool, amps: np.ndarray) -> MeasurementOutcome:
-    prob = float(np.sum(np.abs(amps) ** 2))
-    if prob <= EMPTY_BRANCH_EPS:
-        warnings.warn(
-            f"measurement branch (success={flag}) carries no probability",
-            EmptyBranchWarning,
-            stacklevel=3,
-        )
-        return MeasurementOutcome(success=flag, probability=prob, post_state=None)
-    return MeasurementOutcome(
-        success=flag,
-        probability=prob,
-        post_state=SpinState(amps / math.sqrt(prob)),
-    )
+def central_measurement(state: SpinState, window: tuple[int, int]) -> MeasurementOutcome:
+    """Measure "excitation inside the window" and keep the absent branch.
 
-
-def central_measurement(
-    state: SpinState, window: tuple[int, int]
-) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Yes/no measurement of "excitation inside the window", both branches.
-
-    ``window`` is an inclusive 1-based site range.  Returns the
-    excitation-absent branch first, then the excitation-found branch; the
-    two probabilities sum to one and the post states live on complementary
-    site sets.  A branch with no probability gets post_state None and an
-    EmptyBranchWarning.
+    ``window`` is an inclusive 1-based site range.  With no probability
+    outside it, post_state is None and an EmptyBranchWarning is raised.
     """
     lo, hi = window
     n = state.n_sites
@@ -80,8 +59,12 @@ def central_measurement(
         raise ValueError(f"window must satisfy 1 <= lo <= hi <= {n}, got {window!r}")
     outside = state.amplitudes.copy()
     outside[lo - 1:hi] = 0.0
-    inside = state.amplitudes - outside
-    return _branch(True, outside), _branch(False, inside)
+    prob = float(np.sum(np.abs(outside) ** 2))
+    if prob <= EMPTY_BRANCH_EPS:
+        warnings.warn("the excitation-absent branch carries no probability",
+                      EmptyBranchWarning, stacklevel=2)
+        return MeasurementOutcome(probability=prob, post_state=None)
+    return MeasurementOutcome(probability=prob, post_state=SpinState(outside / math.sqrt(prob)))
 
 
 def _packet(p: ChainParams, center: float) -> np.ndarray:
@@ -140,7 +123,7 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
                   record_every=n_pulses)
     final = traj.final
     window = measurement_window(p, final, n_pulses)
-    absent, _found = central_measurement(final, window)
+    absent = central_measurement(final, window)
     if absent.post_state is None:
         return ProtocolReport(
             success_probability=absent.probability,

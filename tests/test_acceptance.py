@@ -250,7 +250,7 @@ def test_criterion_09_heralded_packet_pair():
 
     traj = evolve(site_state(1401, 701), make_context(FIG1), 4)
     window = measurement_window(FIG1, traj.final, 4)
-    absent, _ = central_measurement(traj.final, window)
+    absent = central_measurement(traj.final, window)
     lo, hi = window
     window_amp = float(np.max(np.abs(absent.post_state.amplitudes[lo - 1:hi])))
     lr_gap = abs(result.left_weight - result.right_weight)

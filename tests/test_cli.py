@@ -103,9 +103,21 @@ def test_localization_past_two_to_the_53_periods_is_a_config_error(tmp_path, cap
                  "--out", str(tmp_path / "run")])
     assert code == 1
     assert _one_line_error(capsys) == (
-        f"config error: localization needs n_periods <= 2**53, got {2**53 + 1}\n"
+        f"config error: key 'n_periods': must be <= 2**53, got {2**53 + 1}\n"
     )
     assert not (tmp_path / "run").exists()
+
+
+def test_set_completes_a_config_file(tmp_path, capsys):
+    # The file alone puts the default centre 701 past a 101-site chain; only
+    # the configuration with the override applied is validated.
+    config = tmp_path / "short.cfg"
+    config.write_text("n_sites = 101\n", encoding="utf-8")
+    code = main(["diffusion", "--config", str(config), "--set", "center=51",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (manifest["config"]["n_sites"], manifest["config"]["center"]) == (101, 51)
 
 
 def test_accel_outside_the_window_is_a_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,6 +143,26 @@ def test_construction_checks_each_value_type(key, value, message):
             build()
         assert str(built.value) == message
     assert ExperimentConfig(beta=50).chain == ExperimentConfig(beta=50.0).chain
+
+
+def test_float_keys_store_floats():
+    # An int for a float key is stored as a float, so equal configs write
+    # equal manifest bytes; an int past the float range is refused in one line.
+    as_json = [json.dumps(config_values(cfg))
+               for cfg in (ExperimentConfig(beta=100), parse_config(""))]
+    assert as_json[0] == as_json[1]
+    assert type(ExperimentConfig(b_q=1).b_q) is float
+    for key in ("beta", "b_q"):
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**{key: 10**400})
+        assert str(built.value) == f"key '{key}': expected a number, got {10**400!r}"
+
+
+def test_period_cap_holds_for_every_experiment():
+    # Past 2**53 periods rounding may add up to the whole norm, whatever runs.
+    with pytest.raises(ConfigError, match=r"key 'n_periods': must be <= 2\*\*53"):
+        ExperimentConfig(experiment="evolve", n_periods=2**53 + 1, record_every=2**53 + 1)
+    assert ExperimentConfig(n_periods=2**53).n_periods == 2**53
 
 
 def test_config_is_its_own_defaults():

@@ -240,6 +240,18 @@ class TestAccelAndFig1:
         assert decay["pulse_range"][0] == 2
         assert decay["rate"] > 0.0
 
+    def test_accel_stops_at_its_last_trackable_pulse(self, tmp_path):
+        # Pulses past trackable_pulses (7 here) are never read, so 100000
+        # periods evolve no further and need no snapshot budget for the rest.
+        last = trackable_pulses(parse_config("").chain)
+        outputs = []
+        for n in (last, 100000):
+            cfg = cfg_for(tmp_path / str(n), "accel", f"n_periods={n}")
+            run_experiment(cfg)
+            out = Path(cfg.output_dir)
+            outputs.append([(out / name).read_bytes() for name in ("modes.json", "decay.json")])
+        assert outputs[0] == outputs[1]
+
     def test_accel_needs_enough_pulses(self, tmp_path):
         cfg = cfg_for(tmp_path, "accel", *SMALL)
         with pytest.raises(ConfigError, match="n_periods"):

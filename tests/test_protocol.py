@@ -13,7 +13,7 @@ from kickedchain import (
     site_state,
 )
 from kickedchain.errors import EmptyBranchWarning, PacketsOutOfRangeError
-from kickedchain.protocol import _packet
+from kickedchain.protocol import EMPTY_BRANCH_EPS, _packet
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 
@@ -21,28 +21,24 @@ FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 class TestCentralMeasurement:
     def test_both_branches_by_hand(self):
         amps = np.sqrt(np.array([0.1, 0.2, 0.3, 0.25, 0.15], dtype=complex))
-        absent, found = central_measurement(SpinState(amps), (2, 4))
-        assert found.probability == pytest.approx(0.75)
+        absent = central_measurement(SpinState(amps), (2, 4))
         assert absent.probability == pytest.approx(0.25)
-        assert absent.success and not found.success
-        assert absent.probability + found.probability == pytest.approx(1.0, abs=1e-10)
+        # the found branch, not returned, carries the rest
+        assert 1.0 - absent.probability == pytest.approx(0.75)
 
     def test_post_states_live_on_complementary_sites(self):
         amps = np.sqrt(np.full(6, 1.0 / 6.0, dtype=complex))
-        absent, found = central_measurement(SpinState(amps), (3, 4))
+        absent = central_measurement(SpinState(amps), (3, 4))
         assert np.all(absent.post_state.amplitudes[2:4] == 0.0)
-        assert np.all(found.post_state.amplitudes[:2] == 0.0)
-        assert np.all(found.post_state.amplitudes[4:] == 0.0)
+        assert np.all(absent.post_state.amplitudes[[0, 1, 4, 5]] != 0.0)
         assert absent.post_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        assert found.post_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_branch_warns_and_has_no_state(self):
         state = site_state(5, 3)
         with pytest.warns(EmptyBranchWarning):
-            absent, found = central_measurement(state, (2, 4))
+            absent = central_measurement(state, (2, 4))
         assert absent.probability == 0.0
         assert absent.post_state is None
-        assert found.probability == pytest.approx(1.0)
 
     def test_window_validation(self):
         state = site_state(5, 3)
@@ -56,8 +52,7 @@ class TestCentralMeasurement:
     def test_full_window_empties_outside_branch(self):
         state = site_state(4, 2)
         with pytest.warns(EmptyBranchWarning):
-            absent, found = central_measurement(state, (1, 4))
-        assert found.probability == pytest.approx(1.0)
+            absent = central_measurement(state, (1, 4))
         assert absent.post_state is None
 
 
@@ -126,14 +121,22 @@ class TestRunProtocol:
 
         traj = evolve(site_state(1401, 701), make_context(FIG1), 4)
         window = measurement_window(FIG1, traj.final, 4)
-        absent, found = central_measurement(traj.final, window)
+        absent = central_measurement(traj.final, window)
         lo, hi = window
         assert np.all(absent.post_state.amplitudes[lo - 1:hi] == 0.0)
-        assert absent.probability + found.probability == pytest.approx(1.0, abs=1e-10)
+        assert absent.post_state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_pulse_count(self):
         with pytest.raises(ValueError):
             run_protocol(FIG1, 0)
+
+    def test_excitation_that_never_leaves_the_window_reports_zero(self):
+        # At beta = 0 nothing hops: the window holds the whole excitation.
+        with pytest.warns(EmptyBranchWarning):
+            report = run_protocol(ChainParams(201, 101, 0.0, 1.0), 1)
+        assert report.success_probability <= EMPTY_BRANCH_EPS
+        assert report.fidelity == 0.0
+        assert report.left_weight == 0.0 and report.right_weight == 0.0
 
     def test_needs_room_for_packets(self):
         small = ChainParams(n_sites=201, center=101, beta=100.0, b_q=1.0 / 15.0)
