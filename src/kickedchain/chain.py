@@ -38,6 +38,16 @@ are exactly zero, and its clipped edges are the chain's open ends, so
 the segment hop is the full hop up to FFT rounding and the sites outside
 the cone stay exactly zero.
 
+A run that starts mirror symmetric about the middle site of an odd chain,
+kicked there, stays so: the hop and the kick commute with the reflection
+r -> N + 1 - r.  When N is odd, center = (N+1)/2, the initial amplitudes
+equal their reverse bit for bit and P <= (N-1)/2, ``evolve`` hops only
+the sites center..N: their left edge is padded by the whole-sample mirror
+about the centre site, their right edge is the open end as before, and
+each snapshot is mirrored back onto all N sites.  The FFT length drops
+to next_fast_len((N+1)/2 + 2P) and the output is exactly symmetric.
+Every other start runs on the full chain.
+
 The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
 built from them here (``uhc_matrix``, ``oracle_hamiltonian``), are
@@ -162,13 +172,16 @@ def _tap_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
     return fft(h)
 
 
-def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray,
+              centre: bool = False) -> np.ndarray:
     """Hop one period: mirror-pad ``amps`` by ``pad`` sites into ``buf`` (as
     ``np.pad(amps, pad, mode="symmetric")``; the tail past it stays zero),
     convolve with the taps whose FFT is ``spectrum``, keep the N central
-    outputs."""
-    n = amps.size
-    buf[:pad] = amps[:pad][::-1]
+    outputs.  With ``centre``, ``amps[0]`` is the centre site of a mirror
+    symmetric chain, so the left edge is padded by the whole-sample mirror
+    ``amps[1:pad+1][::-1]`` instead; the right edge is always an open end."""
+    n, skip = amps.size, int(centre)
+    buf[:pad] = amps[skip:pad + skip][::-1]
     buf[pad:pad + n] = amps
     buf[pad + n:2 * pad + n] = amps[n - pad:][::-1]
     out = fft(buf)
@@ -283,6 +296,13 @@ def evolve(
     rounding: at a segment edge inside the chain the mirror padding copies
     P sites the cone has not reached yet, all zero, and at a clipped edge
     it is the chain's own open end.
+
+    Parity reduction: when N is odd, center = (N+1)/2, ``initial`` equals
+    its reverse bit for bit and P <= (N-1)/2, the same loop runs on sites
+    center..N alone, whose cone starts at the centre site, with the
+    centre edge padded by the whole-sample mirror; each snapshot mirrors
+    them onto the N-site state.  Any other start (asymmetric, an
+    off-centre kick, even N, the folded band) hops the full chain.
     """
     p = ctx.params
     check_sites(initial, p.n_sites)
@@ -299,9 +319,17 @@ def evolve(
         )
 
     n, pad, kick = p.n_sites, ctx.pad, ctx.kick_factors
-    support = np.flatnonzero(initial.amplitudes)
+    amps = initial.amplitudes
+    support = np.flatnonzero(amps)
     lo, hi = int(support[0]), int(support[-1]) + 1
-    work = initial.amplitudes.copy()
+    # A start equal to its reverse, kicked about the middle site of an odd
+    # chain, stays mirror symmetric: hop sites center..N only, from the
+    # centre edge (lo = 0, as the support is symmetric about it).
+    half = 2 * p.center == n + 1 and pad < p.center and np.array_equal(amps, amps[::-1])
+    if half:
+        base = p.center - 1
+        amps, kick, n, lo, hi = amps[base:], kick[base:], n - base, 0, hi - base
+    work = amps.copy()
     periods = [0]
     states = [initial]
     seg = 0
@@ -320,11 +348,11 @@ def evolve(
             if seg == n:
                 c0, c1 = 0, n
             s0 = min(c0, n - seg)
-        hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf)
+        hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf, half)
         # Below rung 0, past the cone the hop leaves only rounding: keep
         # the zeros.
         np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
         if j % record_every == 0 or j == n_periods:
             periods.append(j)
-            states.append(SpinState(work))
+            states.append(SpinState(np.concatenate((work[:0:-1], work)) if half else work))
     return Trajectory(periods=tuple(periods), states=tuple(states))

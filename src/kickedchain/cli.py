@@ -5,7 +5,8 @@
 Exit codes: 0 success, 1 configuration, output-path or other run error
 (such as too few detected modes for a fit), 2 snapshot memory budget
 exceeded, 3 validation-suite failure, 130 interrupted (Ctrl-C).  Every
-error is one line on stderr.
+error is one line on stderr, and so is every warning a run raises:
+``warning: <Category>: <message>``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .config import EXPERIMENTS, parse_config
 from .errors import CapacityError, ConfigError, KickedChainError, MemoryBudgetError
@@ -25,6 +27,11 @@ class _Parser(argparse.ArgumentParser):
     # capacity errors here, and a bad command line is a config problem.
     def error(self, message: str):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    # Replaces warnings.showwarning: the category and message, no source line.
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def _build_parser() -> _Parser:
@@ -63,7 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             overrides.append(f"output_dir={args.out}")
         cfg = parse_config(text, overrides)
-        manifest = run_experiment(cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            manifest = run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

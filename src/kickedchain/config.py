@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from .chain import MAX_SNAPSHOT_VALUES
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .params import ChainParams
 
 EXPERIMENTS = (
@@ -67,26 +67,26 @@ class ExperimentConfig:
                 # Stored as its default's type, so beta=100 echoes as 100.0.
                 object.__setattr__(self, key, type(default)(value))
             except (TypeError, OverflowError):
-                raise ConfigError(f"key '{key}': expected {noun}, got {value!r}") from None
+                raise ConfigError(f"key '{key}': expected {noun}, got {shown(value)}") from None
         for key, allowed in (("experiment", EXPERIMENTS), ("format", FORMATS)):
             value = getattr(self, key)
             if value not in allowed:
-                raise ConfigError(f"key '{key}': must be one of {', '.join(allowed)}, got {value!r}")
+                raise ConfigError(f"key '{key}': must be one of {', '.join(allowed)}, got {shown(value)}")
         if not self.output_dir:
             raise ConfigError("key 'output_dir': must not be empty")
         if "\0" in self.output_dir:
             raise ConfigError("key 'output_dir': must not contain a NUL byte")
         if self.n_periods < 0:
-            raise ConfigError(f"key 'n_periods': must be nonnegative, got {self.n_periods}")
+            raise ConfigError(f"key 'n_periods': must be nonnegative, got {shown(self.n_periods)}")
         if self.n_periods > 2**53:
             # Rounding of 2**-53 per period may add up to the whole norm.
-            raise ConfigError(f"key 'n_periods': must be <= 2**53, got {self.n_periods}")
+            raise ConfigError(f"key 'n_periods': must be <= 2**53, got {shown(self.n_periods)}")
         if self.record_every < 1:
-            raise ConfigError(f"key 'record_every': must be >= 1, got {self.record_every}")
+            raise ConfigError(f"key 'record_every': must be >= 1, got {shown(self.record_every)}")
         if self.n_sites > MAX_SNAPSHOT_VALUES:
             # The period-0 snapshot alone would exceed the evolution's budget.
             raise ConfigError(
-                f"chain geometry: n_sites={self.n_sites} exceeds the budget of "
+                f"chain geometry: n_sites={shown(self.n_sites)} exceeds the budget of "
                 f"{MAX_SNAPSHOT_VALUES} stored amplitudes"
             )
         try:

@@ -1,4 +1,20 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and how their
+messages show a value."""
+
+import math
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message; an int too long for ``repr`` (past
+    ``sys.get_int_max_str_digits()``) is named by its digit count, so the
+    message stays one line."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2.0)) + 1
+        digits += size >= 10**digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 class KickedChainError(Exception):

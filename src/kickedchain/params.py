@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import shown
+
 # Past 2**53 a float phase has no digit left below 2*pi.
 MAX_PHASE = 2.0**53
 # Stable first-order accelerator modes exist for alpha = K/2pi in this window
@@ -45,10 +47,10 @@ class ChainParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, int) or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+            raise ValueError(f"n_sites must be an integer >= 2, got {shown(self.n_sites)}")
         if not isinstance(self.center, int) or not 1 <= self.center <= self.n_sites:
             raise ValueError(
-                f"center must be an integer in [1, {self.n_sites}], got {self.center!r}"
+                f"center must be an integer in [1, {self.n_sites}], got {shown(self.center)}"
             )
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")

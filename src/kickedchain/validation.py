@@ -91,8 +91,9 @@ def _check_propagator_expm() -> float:
 
 def _check_engine_equivalence() -> float:
     # The ring-kernel loop of evolve against the dense oracle product
-    # diag(kick) . U_hop, applied once per period, at a prime and a
-    # power-of-two length.
+    # diag(kick) . U_hop, applied once per period, at a prime length (its
+    # middle site: the mirror-symmetric half path) and a power-of-two
+    # length (the full chain).
     worst = 0.0
     for n in (257, 256):
         p = ChainParams(n_sites=n, center=(n + 1) // 2, beta=30.0, b_q=0.1)

@@ -343,9 +343,11 @@ class TestLightCone:
     def test_whole_chain_rung_is_the_full_chain_loop(self, case):
         # Rung 0 writes back every site, so each of these starts, whose
         # cone is wider than the top sub-rung from the first period, runs
-        # the full-chain loop bit for bit.  From the centre's period-9
-        # state the cone is 1561 of 2001 sites at the first period: the
-        # sites outside it carry the full hop's rounding, not zeros.
+        # the full-chain loop bit for bit.  From the period-9 state of
+        # three random sites about the centre (not mirror symmetric, so
+        # evolve keeps the full chain) the cone is 1563 of 2001 sites at
+        # the first period: the sites outside it carry the full hop's
+        # rounding, not zeros.
         if case == "folded band":
             ctx = make_context(ChainParams(n_sites=33, center=17, beta=1e6, b_q=0.3))
             start = _sites_state(33, [16])
@@ -354,7 +356,8 @@ class TestLightCone:
             start = _sites_state(N_CONE, CONE_STARTS["both ends"])
         else:
             ctx = make_context(P_CONE)
-            start = evolve(_sites_state(N_CONE, CONE_STARTS["centre"]), ctx, 9).final
+            start = evolve(_sites_state(N_CONE, [999, 1000, 1001]), ctx, 9).final
+            assert not np.array_equal(start.amplitudes, start.amplitudes[::-1])
         want = _full_chain_periods(start, ctx, 14)
         for j, state in evolve(start, ctx, 14):
             assert np.array_equal(state.amplitudes, want[j])
@@ -369,6 +372,89 @@ class TestLightCone:
         whole = evolve(start, ctx, 14).final
         head = evolve(start, ctx, split).final
         assert np.array_equal(evolve(head, ctx, 14 - split).final.amplitudes, whole.amplitudes)
+
+
+def _mirrored_state(n_sites, seed=0):
+    """Random amplitudes on every site, equal to their reverse bit for bit."""
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(n_sites + 1) // 2) + 1j * rng.normal(size=(n_sites + 1) // 2)
+    amps = np.concatenate((half[n_sites % 2:][::-1], half))
+    amps /= np.linalg.norm(amps)
+    assert np.array_equal(amps, amps[::-1])
+    return SpinState(amps)
+
+
+def _one_ulp_off(state):
+    amps = state.amplitudes.copy()
+    amps[3] = np.nextafter(amps[3].real, np.inf) + 1j * amps[3].imag
+    return SpinState(amps)
+
+
+DISPATCH = {
+    "asymmetric start": (P_CONE, lambda: _sites_state(N_CONE, range(N_CONE))),
+    "off-centre kick": (ChainParams(n_sites=N_CONE, center=1000, beta=20.0, b_q=0.3),
+                        lambda: _mirrored_state(N_CONE)),
+    "even N": (ChainParams(n_sites=2000, center=1000, beta=20.0, b_q=0.3),
+               lambda: _mirrored_state(2000)),
+    "folded band": (ChainParams(n_sites=33, center=17, beta=1e6, b_q=0.3),
+                    lambda: _mirrored_state(33)),
+    "symmetric to 1 ulp": (P_CONE, lambda: _one_ulp_off(_mirrored_state(N_CONE))),
+}
+
+
+class TestMirrorHalf:
+    """A start equal to its reverse, kicked about the middle site of an
+    odd chain with the band inside the half, hops sites center..N only;
+    every other start keeps the full chain."""
+
+    @pytest.fixture
+    def edges(self, monkeypatch):
+        # The centre-edge flag of every _ring_hop call evolve makes.
+        real, seen = _ring_hop, []
+
+        def spy(amps, pad, spectrum, buf, centre=False):
+            seen.append(centre)
+            return real(amps, pad, spectrum, buf, centre)
+
+        monkeypatch.setattr("kickedchain.chain._ring_hop", spy)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(DISPATCH))
+    def test_other_starts_run_the_full_chain_loop(self, case, edges):
+        p, make_start = DISPATCH[case]
+        ctx = make_context(p)
+        start = make_start()
+        want = _full_chain_periods(start, ctx, 6)
+        for j, state in evolve(start, ctx, 6):
+            assert np.array_equal(state.amplitudes, want[j])
+        assert edges and not any(edges)
+
+    def test_symmetric_start_hops_the_half(self, edges):
+        # The whole-chain start of "symmetric to 1 ulp", bit-exact: it
+        # takes the half path, whose every snapshot is its own mirror.
+        ctx = make_context(P_CONE)
+        start = _mirrored_state(N_CONE)
+        want = _full_chain_periods(start, ctx, 6)
+        eps = np.finfo(np.float64).eps
+        for j, state in evolve(start, ctx, 6):
+            assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
+            assert np.linalg.norm(state.amplitudes - want[j]) <= ORACLE_C * (1.0 + P_CONE.beta) * eps * j
+        assert edges and all(edges)
+
+    def test_band_wider_than_the_half_keeps_the_full_chain(self, edges):
+        # P = 78 at beta = 20 needs (N - 1)/2 >= 78 sites past the centre.
+        p = ChainParams(n_sites=155, center=78, beta=20.0, b_q=0.3)
+        ctx = make_context(p)
+        assert ctx.pad == 78 > (p.n_sites - 1) // 2
+        start = _mirrored_state(p.n_sites)
+        want = _full_chain_periods(start, ctx, 3)
+        for j, state in evolve(start, ctx, 3):
+            assert np.array_equal(state.amplitudes, want[j])
+        assert not any(edges)
+        edges.clear()
+        wider = ChainParams(n_sites=157, center=79, beta=20.0, b_q=0.3)
+        evolve(_mirrored_state(157), make_context(wider), 3)
+        assert all(edges)
 
 
 def _mirror_ring_periods(start, p, n_periods):
@@ -446,3 +532,44 @@ LARGE_N = (59049, 62500, 84375, 97200)
 @given(n_sites=st.sampled_from(LARGE_N), **_SWEEP)
 def test_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed):
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)
+
+
+def _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed):
+    """evolve from random sites mirrored about the middle of an odd chain,
+    kicked there, against the mirror-ring oracle within ORACLE_C; every
+    snapshot must equal its reverse bit for bit.  A chain too short for
+    the band to fit in its half is lengthened until it fits."""
+    n_sites = max(n_sites, 2 * _band(beta) + 1) | 1
+    p = ChainParams(n_sites=n_sites, center=(n_sites + 1) // 2, beta=beta, b_q=b_q)
+    c = p.center - 1
+    offsets = sorted({round(w * c) for w in where})
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(n_sites, dtype=np.complex128)
+    values = rng.normal(size=len(offsets)) + 1j * rng.normal(size=len(offsets))
+    amps[[c + k for k in offsets]] = values
+    amps[[c - k for k in offsets]] = values
+    start = SpinState(amps / np.linalg.norm(amps))
+    assert np.array_equal(start.amplitudes, start.amplitudes[::-1])
+    traj = evolve(start, make_context(p), n_periods)
+    want = _mirror_ring_periods(start, p, n_periods)
+    per_period = ORACLE_C * (1.0 + beta) * np.finfo(np.float64).eps
+    for j, state in traj:
+        assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
+        assert np.linalg.norm(state.amplitudes - want[j]) <= per_period * j
+
+
+_SYMMETRIC_SWEEP = {key: _SWEEP[key] for key in ("beta", "b_q", "where", "n_periods", "seed")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_sites=st.integers(min_value=1, max_value=2000).map(lambda m: 2 * m + 1),
+       **_SYMMETRIC_SWEEP)
+def test_symmetric_oracle_sweep(n_sites, beta, b_q, where, n_periods, seed):
+    # The half path's light-cone rungs, its centre edge and its open end.
+    _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed)
+
+
+@settings(max_examples=3, deadline=None)
+@given(n_sites=st.sampled_from([n for n in LARGE_N if n % 2]), **_SYMMETRIC_SWEEP)
+def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, where, n_periods, seed):
+    _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed)

@@ -108,6 +108,20 @@ def test_localization_past_two_to_the_53_periods_is_a_config_error(tmp_path, cap
     assert not (tmp_path / "run").exists()
 
 
+def test_warning_is_one_stderr_line(tmp_path, capsys):
+    # The measurement window holds the whole excitation, so the heralded
+    # branch is empty: the run succeeds and says so in one line, with no
+    # source location.
+    code = main(["protocol", "--set", "n_sites=201", "--set", "center=101", "--set", "beta=0",
+                 "--set", "b_q=1", "--set", "n_periods=1", "--out", str(tmp_path / "run")])
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: EmptyBranchWarning: the excitation-absent branch carries "
+                   "no probability\n")
+    assert out.splitlines()[-1] == f"wrote {tmp_path / 'run' / 'manifest.json'}"
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["fidelity"] == 0.0
+
+
 def test_set_completes_a_config_file(tmp_path, capsys):
     # The file alone puts the default centre 701 past a 101-site chain; only
     # the configuration with the override applied is validated.

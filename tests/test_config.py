@@ -158,6 +158,28 @@ def test_float_keys_store_floats():
         assert str(built.value) == f"key '{key}': expected a number, got {10**400!r}"
 
 
+@pytest.mark.parametrize("key,sign,digits,message", [
+    ("beta", 1, 5001, "key 'beta': expected a number, got an integer of 5001 digits"),
+    ("b_q", -1, 5001, "key 'b_q': expected a number, got a negative integer of 5001 digits"),
+    ("n_periods", 1, 5001, "key 'n_periods': must be <= 2**53, got an integer of 5001 digits"),
+    ("n_periods", -1, 4301,
+     "key 'n_periods': must be nonnegative, got a negative integer of 4301 digits"),
+    ("record_every", -1, 5001,
+     "key 'record_every': must be >= 1, got a negative integer of 5001 digits"),
+    ("experiment", 1, 5001, "key 'experiment': expected a string, got an integer of 5001 digits"),
+    ("n_sites", 1, 5001, "chain geometry: n_sites=an integer of 5001 digits exceeds the budget "
+     "of 20000000 stored amplitudes"),
+    ("center", 1, 5001,
+     "chain geometry: center must be an integer in [1, 1401], got an integer of 5001 digits"),
+])
+def test_ints_too_long_to_print_are_named_by_digit_count(key, sign, digits, message):
+    # Python refuses str() of an int past 4300 digits: the message names
+    # its size instead and stays one line.
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**{key: sign * 10 ** (digits - 1)})
+    assert str(built.value) == message
+
+
 def test_period_cap_holds_for_every_experiment():
     # Past 2**53 periods rounding may add up to the whole norm, whatever runs.
     with pytest.raises(ConfigError, match=r"key 'n_periods': must be <= 2\*\*53"):

@@ -52,9 +52,11 @@ class TestSuite:
         # the dense route is untouched, so exactly the cross-engine check
         # must trip.
         real = kickedchain.chain._ring_hop
+        edges = set()
 
-        def corrupted(amps, pad, spectrum, buf):
-            return real(amps, pad, np.conj(spectrum), buf)
+        def corrupted(amps, pad, spectrum, buf, centre=False):
+            edges.add(centre)
+            return real(amps, pad, np.conj(spectrum), buf, centre)
 
         monkeypatch.setattr(kickedchain.chain, "_ring_hop", corrupted)
         report = validate_suite()
@@ -62,6 +64,9 @@ class TestSuite:
         assert "engine_equivalence" in report.failures
         by_name = {c.name: c for c in report.checks}
         assert by_name["propagator_vs_matrix_exponential"].passed
+        # Both of the check's chains ran the corrupted hop: N=257 (center
+        # 129) on the mirror-symmetric half path, N=256 on the full chain.
+        assert edges == {True, False}
 
     def test_concurrence_check_runs_the_production_formula(self, monkeypatch):
         # The check reads production concurrence, so doubling the pair
