@@ -322,9 +322,9 @@ def evolve(
     amps = initial.amplitudes
     support = np.flatnonzero(amps)
     lo, hi = int(support[0]), int(support[-1]) + 1
-    # A start equal to its reverse, kicked about the middle site of an odd
-    # chain, stays mirror symmetric: hop sites center..N only, from the
-    # centre edge (lo = 0, as the support is symmetric about it).
+    # Parity reduction (see above).  On the half, lo = 0: a symmetric
+    # support spans the centre, and every segment must start at the centre
+    # edge, the only edge the whole-sample mirror may pad.
     half = 2 * p.center == n + 1 and pad < p.center and np.array_equal(amps, amps[::-1])
     if half:
         base = p.center - 1

@@ -71,7 +71,9 @@ class ExperimentConfig:
         for key, allowed in (("experiment", EXPERIMENTS), ("format", FORMATS)):
             value = getattr(self, key)
             if value not in allowed:
-                raise ConfigError(f"key '{key}': must be one of {', '.join(allowed)}, got {shown(value)}")
+                raise ConfigError(
+                    f"key '{key}': must be one of {', '.join(allowed)}, got {shown(value)}"
+                )
         if not self.output_dir:
             raise ConfigError("key 'output_dir': must not be empty")
         if "\0" in self.output_dir:

@@ -50,7 +50,8 @@ class ChainParams:
             raise ValueError(f"n_sites must be an integer >= 2, got {shown(self.n_sites)}")
         if not isinstance(self.center, int) or not 1 <= self.center <= self.n_sites:
             raise ValueError(
-                f"center must be an integer in [1, {self.n_sites}], got {shown(self.center)}"
+                f"center must be an integer in [1, {shown(self.n_sites)}], "
+                f"got {shown(self.center)}"
             )
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")

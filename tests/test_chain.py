@@ -27,7 +27,7 @@ from kickedchain.chain import (
 )
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 P64 = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
 
@@ -435,10 +435,10 @@ class TestMirrorHalf:
         ctx = make_context(P_CONE)
         start = _mirrored_state(N_CONE)
         want = _full_chain_periods(start, ctx, 6)
-        eps = np.finfo(np.float64).eps
+        per_period = ORACLE_C * (1.0 + P_CONE.beta) * np.finfo(np.float64).eps
         for j, state in evolve(start, ctx, 6):
             assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
-            assert np.linalg.norm(state.amplitudes - want[j]) <= ORACLE_C * (1.0 + P_CONE.beta) * eps * j
+            assert np.linalg.norm(state.amplitudes - want[j]) <= per_period * j
         assert edges and all(edges)
 
     def test_band_wider_than_the_half_keeps_the_full_chain(self, edges):
@@ -486,18 +486,29 @@ def test_evolve_matches_mirror_ring_oracle(n_sites):
         assert np.linalg.norm(state.amplitudes - want[j]) <= ORACLE_C * (1.0 + beta) * eps * j
 
 
-def _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed):
+def _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=False):
     """evolve from a few random sites against the mirror-ring oracle, then
-    back through step_period_inverse, each period within ORACLE_C."""
+    back through step_period_inverse, each period within ORACLE_C.
+
+    A ``mirror`` start is made equal to its reverse, on an odd chain kicked
+    at its middle site and lengthened until the band fits in its half, so
+    evolve hops the half: every snapshot must then be its own reverse."""
+    if mirror:
+        n_sites, center = max(n_sites, 2 * _band(beta) + 1) | 1, 0.5
     p = ChainParams(n_sites=n_sites, center=1 + round(center * (n_sites - 1)),
                     beta=beta, b_q=b_q)
     ctx = make_context(p)
     start = _sites_state(n_sites, sorted({round(w * (n_sites - 1)) for w in where}), seed)
+    if mirror:
+        amps = start.amplitudes + start.amplitudes[::-1]
+        start = SpinState(amps / np.linalg.norm(amps))
     traj = evolve(start, ctx, n_periods)
     want = _mirror_ring_periods(start, p, n_periods)
     per_period = ORACLE_C * (1.0 + beta) * np.finfo(np.float64).eps
     for j, state in traj:
         assert np.linalg.norm(state.amplitudes - want[j]) <= per_period * j
+        if mirror:
+            assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
     back = traj.final
     for _ in range(n_periods):
         back = step_period_inverse(back, ctx)
@@ -534,42 +545,17 @@ def test_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)
 
 
-def _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed):
-    """evolve from random sites mirrored about the middle of an odd chain,
-    kicked there, against the mirror-ring oracle within ORACLE_C; every
-    snapshot must equal its reverse bit for bit.  A chain too short for
-    the band to fit in its half is lengthened until it fits."""
-    n_sites = max(n_sites, 2 * _band(beta) + 1) | 1
-    p = ChainParams(n_sites=n_sites, center=(n_sites + 1) // 2, beta=beta, b_q=b_q)
-    c = p.center - 1
-    offsets = sorted({round(w * c) for w in where})
-    rng = np.random.default_rng(seed)
-    amps = np.zeros(n_sites, dtype=np.complex128)
-    values = rng.normal(size=len(offsets)) + 1j * rng.normal(size=len(offsets))
-    amps[[c + k for k in offsets]] = values
-    amps[[c - k for k in offsets]] = values
-    start = SpinState(amps / np.linalg.norm(amps))
-    assert np.array_equal(start.amplitudes, start.amplitudes[::-1])
-    traj = evolve(start, make_context(p), n_periods)
-    want = _mirror_ring_periods(start, p, n_periods)
-    per_period = ORACLE_C * (1.0 + beta) * np.finfo(np.float64).eps
-    for j, state in traj:
-        assert np.array_equal(state.amplitudes, state.amplitudes[::-1])
-        assert np.linalg.norm(state.amplitudes - want[j]) <= per_period * j
-
-
-_SYMMETRIC_SWEEP = {key: _SWEEP[key] for key in ("beta", "b_q", "where", "n_periods", "seed")}
-
 
 @settings(max_examples=25, deadline=None)
-@given(n_sites=st.integers(min_value=1, max_value=2000).map(lambda m: 2 * m + 1),
-       **_SYMMETRIC_SWEEP)
-def test_symmetric_oracle_sweep(n_sites, beta, b_q, where, n_periods, seed):
-    # The half path's light-cone rungs, its centre edge and its open end.
-    _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed)
+@given(n_sites=st.integers(min_value=3, max_value=4001), **_SWEEP)
+def test_symmetric_oracle_sweep(n_sites, beta, b_q, center, where, n_periods, seed):
+    # The half path: its light-cone rungs, its centre edge and its open end.
+    _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=True)
 
 
 @settings(max_examples=3, deadline=None)
-@given(n_sites=st.sampled_from([n for n in LARGE_N if n % 2]), **_SYMMETRIC_SWEEP)
-def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, where, n_periods, seed):
-    _check_symmetric_against_oracle(n_sites, beta, b_q, where, n_periods, seed)
+@given(n_sites=st.sampled_from([n for n in LARGE_N if n % 2]), **_SWEEP)
+# A start at the middle site meets the centre edge from the first period.
+@example(n_sites=84375, beta=300.0, b_q=0.1, center=0.5, where=[0.5], n_periods=5, seed=0)
+def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed):
+    _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=True)
