@@ -12,7 +12,10 @@ written with sorted keys, and files are written atomically (temp file
 then rename).  A distribution table, a (period, site) product
 grid, is rendered one snapshot at a time from a text template of every
 site, built once per table; it yields the same bytes as rendering it
-row by row.
+row by row.  A snapshot of an odd chain that equals its reverse bit for
+bit (every snapshot of a mirror-symmetric run) formats only its sites
+center..N and fills both halves from those strings: equal bits give
+equal text, so each distinct value is formatted once.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class RunManifest:
 
 
 class _SiteGrid:
-    """The (period, site, value) rows of a snapshots x sites array.
+    """The (period, site, value) rows of a snapshots x sites float64 array.
 
     ``len()`` is the number of rows and iterating yields them in period-major
     order, so a grid stands wherever ``_table`` takes a list of row tuples.
@@ -93,14 +96,31 @@ class _SiteGrid:
         """The ``header`` line, then the rows as ``%d,%d,%.12g`` lines.
 
         The site template is built once; each snapshot puts its period in
-        place of ``@`` and formats its values with one ``%``.
+        place of ``@`` and formats its values with one ``%``.  A mirror
+        row, one of an odd chain whose values equal their reverse bit for
+        bit (compared as uint64, so 0.0 never pairs with -0.0 and NaN
+        payloads never merge), formats only sites center..N with
+        ``%.12g`` and fills both halves from those strings through a
+        ``%s`` template; equal bits give equal strings, so the bytes are
+        those of the row-by-row rendering.
         """
         n_sites = self.values.shape[1]
         template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
-        rows = (
-            template.replace("@", str(period)) % tuple(row.tolist())
-            for period, row in zip(self.periods, self.values)
-        )
+        mirrored = [False] * len(self.periods)
+        if n_sites % 2:
+            mid = n_sites // 2
+            bits = self.values.view(np.uint64)
+            mirrored = (bits == bits[:, ::-1]).all(axis=1).tolist()
+            mirror_template = template.replace("%.12g", "%s")
+            half_format = ",".join(["%.12g"] * (n_sites - mid))
+        rows = []
+        for period, row, mirror in zip(self.periods, self.values, mirrored):
+            if mirror:
+                half = (half_format % tuple(row[mid:].tolist())).split(",")
+                text = mirror_template.replace("@", str(period)) % tuple(half[:0:-1] + half)
+            else:
+                text = template.replace("@", str(period)) % tuple(row.tolist())
+            rows.append(text)
         return "".join([header + "\n", *rows])
 
 

@@ -12,7 +12,12 @@ Their product K_s = beta * b_q is the stochasticity parameter of the
 equivalent kicked rotor, with b_q playing the role of the effective
 Planck constant.  ``derived_params`` owns every number implied by them:
 alpha = K_s/2*pi and its accelerator-mode window, the advance of 2*pi/b_q
-sites per period, the localization length and the break time.  The chain
+sites per period, the localization length, the break time, and the
+period-1 accelerator mode's geometry.  One period is the map
+n' = n + beta sin k (the hop), k' = k - b_q n' (the kick): with P = -b_q n
+it is the standard map with kick -K_s, whose period-1 mode sits at
+sin k* = 1/alpha with monodromy [[1 - K_s cos k*, 1], [-K_s cos k*, 1]]
+(Fishman, Guarneri & Rebuzzini, PRL 89, 084101, 2002).  The chain
 is always open; the ring that matches the rotor exactly lives in ``qkr``
 and takes (n_sites, beta) directly.
 """
@@ -20,6 +25,7 @@ and takes (n_sites, beta) directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import shown
@@ -30,6 +36,10 @@ MAX_PHASE = 2.0**53
 # (inclusive); outside it the kicked dynamics has no ballistic island pair.
 ACCEL_ALPHA_MIN = 1.03
 ACCEL_ALPHA_MAX = 1.10
+# The period-1 mode is linearly stable, |monodromy trace| <= 2, for alpha in
+# this window: the trace 2 - 2*pi*sqrt(alpha**2 - 1) runs from 2 to -2.
+STABLE_ALPHA_MIN = 1.0
+STABLE_ALPHA_MAX = math.sqrt(1.0 + 4.0 / math.pi**2)
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,14 @@ class ChainParams:
                 f"center must be an integer in [1, {shown(self.n_sites)}], "
                 f"got {shown(self.center)}"
             )
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
-        if not (math.isfinite(self.b_q) and self.b_q >= 0.0):
-            raise ValueError(f"b_q must be finite and nonnegative, got {self.b_q!r}")
+        for name in ("beta", "b_q"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {shown(value)}")
+            # Compared exactly, so an int past the float range is refused
+            # here rather than overflowing in float arithmetic.
+            if not 0.0 <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and nonnegative, got {shown(value)}")
         # The largest per-period phases, the hop's 2*beta and the kick's at
         # the far end of the chain, must be finite and at most MAX_PHASE.
         reach = max(self.center - 1, self.n_sites - self.center)
@@ -82,6 +96,13 @@ class DerivedParams:
     hop_distance        -- per-period site advance of an accelerator mode, 2*pi/b_q
     localization_length -- predicted dynamical-localization length beta**2 / 4
     break_time          -- periods until quantum spreading saturates, beta**2
+    k_star              -- the period-1 mode's momentum arcsin(1/alpha), rad/site
+    monodromy_trace     -- trace of its monodromy, 2 - 2*pi*alpha*cos(k_star)
+    rotation            -- its rotation per period, arccos(trace/2)
+
+    k_star is NaN for alpha < 1 (no such mode), and so is the trace;
+    rotation is NaN where |trace| > 2, i.e. outside the stability window
+    [STABLE_ALPHA_MIN, STABLE_ALPHA_MAX].
     """
 
     k_s: float
@@ -90,6 +111,9 @@ class DerivedParams:
     hop_distance: float
     localization_length: float
     break_time: float
+    k_star: float
+    monodromy_trace: float
+    rotation: float
 
     @property
     def in_accelerator_window(self) -> bool:
@@ -100,15 +124,23 @@ class DerivedParams:
 def derived_params(p: ChainParams) -> DerivedParams:
     """Compute every derived dimensionless parameter for ``p``.
 
-    Total on valid inputs; b_q = 0 gives an infinite hop distance.
+    Total on valid inputs; b_q = 0 gives an infinite hop distance, and the
+    mode geometry is NaN where it is undefined.
     """
     k_s = p.beta * p.b_q
     hop = 2.0 * math.pi / p.b_q if p.b_q > 0.0 else math.inf
+    alpha = k_s / (2.0 * math.pi)
+    k_star = math.asin(1.0 / alpha) if alpha >= 1.0 else math.nan
+    trace = 2.0 - 2.0 * math.pi * alpha * math.cos(k_star)
+    rotation = math.acos(trace / 2.0) if abs(trace) <= 2.0 else math.nan
     return DerivedParams(
         k_s=k_s,
         hbar_eff=p.b_q,
-        alpha=k_s / (2.0 * math.pi),
+        alpha=alpha,
         hop_distance=hop,
         localization_length=p.beta**2 / 4.0,
         break_time=p.beta**2,
+        k_star=k_star,
+        monodromy_trace=trace,
+        rotation=rotation,
     )

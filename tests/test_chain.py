@@ -526,21 +526,43 @@ _SWEEP = dict(
 )
 
 
+# The same draws with beta up to 1e5, where the band W is about 1e5 sites:
+# a short chain folds it, a long one takes it on the light-cone ladder.
+_SWEEP_TO_1E5 = dict(
+    _SWEEP,
+    beta=st.one_of(st.floats(min_value=0.0, max_value=300.0),
+                   st.floats(min_value=0.0, max_value=1e5)),
+)
+
+
 @settings(max_examples=25, deadline=None)
-@given(n_sites=st.integers(min_value=2, max_value=4000), **_SWEEP)
+@given(n_sites=st.integers(min_value=2, max_value=4000), **_SWEEP_TO_1E5)
 def test_oracle_sweep(n_sites, beta, b_q, center, where, n_periods, seed):
     # Light-cone rungs, the tap ring and the folded band (W >= N) over
     # random chains, with no dense oracle's size cap.
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)
 
 
-# 5-smooth, so the oracle's 2N-point FFTs stay fast; few draws, as each
-# costs about 0.2 s.
-LARGE_N = (59049, 62500, 84375, 97200)
+def _five_smooth(lo, hi):
+    """The integers in [lo, hi] with no prime factor above 5."""
+    found = []
+    for p2 in range(hi.bit_length()):
+        for p3 in range(12):
+            for p5 in range(9):
+                n = 2**p2 * 3**p3 * 5**p5
+                if lo <= n <= hi:
+                    found.append(n)
+    return tuple(sorted(found))
+
+
+# N with 2N 5-smooth, so the oracle's 2N-point FFTs stay fast; few draws,
+# as each costs up to about 0.9 s at beta = 1e5.
+LARGE_N = _five_smooth(50_000, 250_000)
+ODD_LARGE_N = tuple(n for n in LARGE_N if n % 2)
 
 
 @settings(max_examples=3, deadline=None)
-@given(n_sites=st.sampled_from(LARGE_N), **_SWEEP)
+@given(n_sites=st.sampled_from(LARGE_N), **_SWEEP_TO_1E5)
 def test_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed):
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed)
 
@@ -554,8 +576,13 @@ def test_symmetric_oracle_sweep(n_sites, beta, b_q, center, where, n_periods, se
 
 
 @settings(max_examples=3, deadline=None)
-@given(n_sites=st.sampled_from([n for n in LARGE_N if n % 2]), **_SWEEP)
+@given(n_sites=st.sampled_from(ODD_LARGE_N), **_SWEEP_TO_1E5)
 # A start at the middle site meets the centre edge from the first period.
 @example(n_sites=84375, beta=300.0, b_q=0.1, center=0.5, where=[0.5], n_periods=5, seed=0)
+# The band at beta = 1e5 needs N >= 200,991 to fit in the half: 234,375.
+@example(n_sites=84375, beta=1e5, b_q=0.1, center=0.5, where=[0.5, 0.1], n_periods=3, seed=1)
 def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_periods, seed):
+    # Lengthen to the next odd N of the list whose half holds the band, so
+    # the run takes the half path and 2N stays 5-smooth.
+    n_sites = min(n for n in ODD_LARGE_N if n >= max(n_sites, 2 * _band(beta) + 1))
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=True)

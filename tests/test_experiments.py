@@ -89,6 +89,19 @@ class TestManifest:
         assert manifest["derived"]["k_s"] == d.k_s
         assert manifest["derived"]["alpha"] == d.alpha
         assert manifest["derived"]["hop_distance"] == d.hop_distance
+        # alpha = 0.80 here: no period-1 mode, so its geometry is null.
+        assert d.alpha < 1.0
+        for key in ("k_star", "monodromy_trace", "rotation"):
+            assert manifest["derived"][key] is None
+
+    def test_derived_reports_the_accelerator_mode(self, tmp_path):
+        cfg = cfg_for(tmp_path, "evolve", "n_periods=0")
+        run_experiment(cfg)
+        derived = json.loads((tmp_path / "evolve" / "manifest.json").read_text())["derived"]
+        d = derived_params(cfg.chain)
+        assert (derived["k_star"], derived["monodromy_trace"], derived["rotation"]) == (
+            d.k_star, d.monodromy_trace, d.rotation
+        )
 
     def test_no_temp_files_left(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL)
@@ -117,13 +130,30 @@ class TestManifest:
 SPECIAL_VALUES = (0.0, 5e-324, 1e-320, 1e-5, 0.1, 1.0)
 
 
-def _grid_values(n_snapshots, n_sites, seed, specials):
+# How a row is shaped before rendering: as drawn, equal to its reverse bit
+# for bit, mirrored but one site 1 ulp off, or mirrored with one pair of
+# sites 0.0 and -0.0.
+ROW_KINDS = ("drawn", "mirror", "ulp", "signed_zero")
+
+
+def _grid_values(n_snapshots, n_sites, seed, specials, kinds=("drawn",)):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(n_snapshots, n_sites)) + 1j * rng.normal(size=(n_snapshots, n_sites))
     values = np.abs(amps / np.linalg.norm(amps, axis=1, keepdims=True)) ** 2
     flat = values.reshape(-1)
     for index, value in specials:
         flat[index % flat.size] = value
+    for i, row in enumerate(values):
+        kind = kinds[i % len(kinds)]
+        if kind == "drawn":
+            continue
+        # Mirror after placing the specials, so they are mirrored too.
+        row[: n_sites // 2] = row[::-1][: n_sites // 2]
+        site = int(rng.integers(n_sites // 2)) if n_sites > 1 else 0
+        if kind == "ulp":
+            row[site] = np.nextafter(row[site], 1.0)
+        elif kind == "signed_zero":
+            row[site], row[-1 - site] = 0.0, -0.0
     return values
 
 
@@ -137,15 +167,24 @@ def _grid_values(n_snapshots, n_sites, seed, specials):
     specials=st.lists(
         st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIAL_VALUES)), max_size=12
     ),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5),
 )
-@example(99, 7, 2, 3, 0, list(enumerate(SPECIAL_VALUES)))
-@example(1401, 9, 3, 8, 1, [(1400 + 1401 * i, v) for i, v in enumerate(SPECIAL_VALUES[:4])])
-def test_site_grid_renders_the_row_bytes(n_sites, record_every, n_multiples, tail, seed, specials):
+@example(99, 7, 2, 3, 0, list(enumerate(SPECIAL_VALUES)), ["drawn"])
+@example(1401, 9, 3, 8, 1, [(1400 + 1401 * i, v) for i, v in enumerate(SPECIAL_VALUES[:4])], ["drawn"])
+@example(9, 5, 1, 2, 2, list(enumerate(SPECIAL_VALUES)), ["mirror"])
+@example(99, 3, 3, 1, 3, [(98 - i, v) for i, v in enumerate(SPECIAL_VALUES)], ["mirror", "ulp"])
+@example(1401, 9, 3, 8, 4, [(700 + 1401 * i, v) for i, v in enumerate(SPECIAL_VALUES[:4])], ["mirror"])
+@example(1401, 2, 1, 1, 5, [], ["signed_zero", "ulp"])
+@example(100, 4, 2, 1, 6, list(enumerate(SPECIAL_VALUES)), ["mirror", "signed_zero"])
+@example(10, 2, 0, 1, 7, [], ["mirror", "ulp"])
+def test_site_grid_renders_the_row_bytes(
+    n_sites, record_every, n_multiples, tail, seed, specials, kinds
+):
     # Periods as evolve records them with record_every > 1: period 0, the
     # multiples of record_every, then a final period off the multiples.
     periods = tuple(range(0, (n_multiples + 1) * record_every, record_every))
     periods += (periods[-1] + (tail % record_every or 1),)
-    values = _grid_values(len(periods), n_sites, seed, specials)
+    values = _grid_values(len(periods), n_sites, seed, specials, kinds)
     rows = [
         (period, site, float(values[i, site - 1]))
         for i, period in enumerate(periods)
@@ -156,7 +195,11 @@ def test_site_grid_renders_the_row_bytes(n_sites, record_every, n_multiples, tai
 
     assert len(grid) == len(rows)
     expected = "\n".join([",".join(header), *("%d,%d,%.12g" % row for row in rows)]) + "\n"
-    assert _table(header, grid, "csv") == expected
+    text = _table(header, grid, "csv")
+    assert text == expected
+    if "signed_zero" in kinds[: len(periods)] and n_sites > 1:
+        # The mirrored -0.0 keeps its sign, as row-by-row rendering does.
+        assert ",-0\n" in text
     assert [list(row) for row in grid] == [list(row) for row in rows]
     assert _table(header, grid, "json") == _table(header, rows, "json")
 

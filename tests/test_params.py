@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kickedchain import ChainParams, SpinState, derived_params, ring_propagator, site_state
+from kickedchain.params import STABLE_ALPHA_MAX, STABLE_ALPHA_MIN
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
 
@@ -36,6 +37,26 @@ class TestChainParams:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ChainParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"beta": 10**5000}, "beta must be finite and nonnegative, got an integer of 5001 digits"),
+            ({"beta": -(10**5000)}, "got a negative integer of 5001 digits"),
+            ({"b_q": 10**400}, "b_q must be finite and nonnegative, got 1000"),
+            ({"b_q": 2**1024}, "b_q must be finite and nonnegative"),
+            ({"beta": "x"}, "beta must be a number, got 'x'"),
+            ({"b_q": None}, "b_q must be a number, got None"),
+            ({"beta": True}, "beta must be a number, got True"),
+        ],
+    )
+    def test_huge_or_non_numeric_beta_and_b_q_are_one_line(self, kwargs, message):
+        base = dict(n_sites=3, center=2, beta=10.0, b_q=0.1)
+        base.update(kwargs)
+        with pytest.raises(ValueError) as info:
+            ChainParams(**base)
+        assert message in str(info.value)
+        assert "\n" not in str(info.value)
 
     def test_phases_above_two_to_the_53_are_refused(self):
         # 2*beta and (b_q/2)*reach**2 may reach 2**53 and no further.
@@ -71,6 +92,32 @@ class TestDerivedParams:
         d = derived_params(p)
         assert d.k_s == 0.0
         assert math.isinf(d.hop_distance)
+
+    def test_fig1_accelerator_mode_geometry(self):
+        d = derived_params(FIG1)
+        assert d.k_star == pytest.approx(1.2300, abs=5e-5)
+        assert d.monodromy_trace == pytest.approx(-0.228, abs=5e-4)
+        assert d.rotation == pytest.approx(1.685, abs=5e-4)
+        assert math.sin(d.k_star) == pytest.approx(1.0 / d.alpha, rel=1e-15)
+
+    def test_stability_window_edges(self):
+        # The trace runs from 2 at alpha = 1 to -2 at sqrt(1 + 4/pi**2).
+        assert STABLE_ALPHA_MAX == pytest.approx(1.185, abs=5e-4)
+        low, high = (window_of(a * 2.0 * math.pi) for a in (STABLE_ALPHA_MIN, STABLE_ALPHA_MAX))
+        assert low.monodromy_trace == pytest.approx(2.0, abs=1e-12)
+        assert low.rotation == pytest.approx(0.0, abs=1e-7)
+        assert high.monodromy_trace == pytest.approx(-2.0, abs=1e-12)
+        assert high.rotation == pytest.approx(math.pi, abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nextafter(1.0, 0.0)])
+    def test_no_mode_below_alpha_one(self, alpha):
+        d = window_of(alpha * 2.0 * math.pi)
+        assert math.isnan(d.k_star) and math.isnan(d.monodromy_trace) and math.isnan(d.rotation)
+
+    @pytest.mark.parametrize("alpha", [1.19, 2.0, 1e6])
+    def test_no_rotation_past_the_stability_window(self, alpha):
+        d = window_of(alpha * 2.0 * math.pi)
+        assert d.monodromy_trace < -2.0 and math.isnan(d.rotation)
 
     def test_window_membership_is_not_a_field(self):
         # The manifest's derived block is asdict(derived_params(p)).
