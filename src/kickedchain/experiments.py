@@ -57,6 +57,9 @@ from .validation import validate_suite
 # Probabilities below this floor are clamped before taking the log so the
 # profile column stays finite for gnuplot-style tooling.
 LOG_FLOOR = 1e-320
+# Characters encoded, hashed and written at a time: small enough to stay in
+# cache, and no output ever needs a whole encoded copy of itself.
+WRITE_SLICE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -279,17 +282,28 @@ _RUNNERS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8 through a temp file and a rename; return the
+    SHA-256 of the bytes written.
+
+    The text is encoded a slice at a time, and each slice is both hashed
+    and written, so no encoded copy of a whole table is ever held.
+    """
     tmp = path + ".tmp"
+    sha = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for start in range(0, len(text), WRITE_SLICE):
+                data = text[start:start + WRITE_SLICE].encode("utf-8")
+                sha.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         # A failed write or rename, or a Ctrl-C, leaves no temp file behind.
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    return sha.hexdigest()
 
 
 def _derived_dict(p: ChainParams) -> dict:
@@ -311,11 +325,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     outputs = _RUNNERS[cfg.experiment](cfg)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    digests = {}
-    for filename in sorted(outputs):
-        text = outputs[filename]
-        _atomic_write(os.path.join(cfg.output_dir, filename), text)
-        digests[filename] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digests = {
+        filename: _atomic_write(os.path.join(cfg.output_dir, filename), outputs[filename])
+        for filename in sorted(outputs)
+    }
 
     manifest = RunManifest(
         experiment=cfg.experiment,

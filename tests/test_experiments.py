@@ -17,7 +17,7 @@ from kickedchain import (
     run_experiment,
     trackable_pulses,
 )
-from kickedchain.experiments import _SiteGrid, _table
+from kickedchain.experiments import WRITE_SLICE, _SiteGrid, _atomic_write, _table
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -102,6 +102,16 @@ class TestManifest:
         assert (derived["k_star"], derived["monodromy_trace"], derived["rotation"]) == (
             d.k_star, d.monodromy_trace, d.rotation
         )
+
+    def test_sliced_write_returns_the_digest_of_the_file(self, tmp_path):
+        # Non-ASCII characters on both sides of each slice boundary.
+        text = "".join(["a" * (WRITE_SLICE - 1), "\u00e9\u20ac", "b" * (WRITE_SLICE - 2), "\U0001f600", "c"])
+        path = tmp_path / "out.txt"
+        digest = _atomic_write(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert _atomic_write(str(path), "") == hashlib.sha256(b"").hexdigest()
+        assert path.read_bytes() == b""
 
     def test_no_temp_files_left(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL)
