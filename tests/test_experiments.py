@@ -161,7 +161,7 @@ def _grid_values(n_snapshots, n_sites, seed, specials, kinds=("drawn",)):
         row[: n_sites // 2] = row[::-1][: n_sites // 2]
         site = int(rng.integers(n_sites // 2)) if n_sites > 1 else 0
         if kind == "ulp":
-            row[site] = np.nextafter(row[site], 1.0)
+            row[site] = np.nextafter(row[site], np.inf)
         elif kind == "signed_zero":
             row[site], row[-1 - site] = 0.0, -0.0
     return values
