@@ -2,19 +2,19 @@
 messages show a value."""
 
 import math
+import sys
 
 
 def shown(value) -> str:
-    """``repr(value)`` for a message; an int too long for ``repr`` (past
-    ``sys.get_int_max_str_digits()``) is named by its digit count, so the
-    message stays one line."""
-    try:
+    """``repr(value)`` for a message; an int past the float range is named
+    by its digit count, so the message stays short (and one line past
+    ``sys.get_int_max_str_digits()``, where ``repr`` fails)."""
+    if not isinstance(value, int) or abs(value) <= sys.float_info.max:
         return repr(value)
-    except ValueError:
-        size = abs(value)
-        digits = int((size.bit_length() - 1) * math.log10(2.0)) + 1
-        digits += size >= 10**digits
-        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    size = abs(value)
+    digits = int((size.bit_length() - 1) * math.log10(2.0)) + 1
+    digits += size >= 10**digits
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 class KickedChainError(Exception):

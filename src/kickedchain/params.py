@@ -32,6 +32,8 @@ from .errors import shown
 
 # Past 2**53 a float phase has no digit left below 2*pi.
 MAX_PHASE = 2.0**53
+# Past 2**53 sites a float64 site offset is no longer exact.
+MAX_SITES = 2**53
 # Stable first-order accelerator modes exist for alpha = K/2pi in this window
 # (inclusive); outside it the kicked dynamics has no ballistic island pair.
 ACCEL_ALPHA_MIN = 1.03
@@ -56,8 +58,10 @@ class ChainParams:
     b_q: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_sites, int) or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {shown(self.n_sites)}")
+        # Compared exactly, so a chain too long for float(reach)**2 below is
+        # refused here rather than overflowing.
+        if not isinstance(self.n_sites, int) or not 2 <= self.n_sites <= MAX_SITES:
+            raise ValueError(f"n_sites must be an integer in [2, 2**53], got {shown(self.n_sites)}")
         if not isinstance(self.center, int) or not 1 <= self.center <= self.n_sites:
             raise ValueError(
                 f"center must be an integer in [1, {shown(self.n_sites)}], "

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from scipy.fft import next_fast_len
 from scipy.special import jv
@@ -20,7 +21,10 @@ from kickedchain import (
 from kickedchain.chain import (
     _band_taps,
     _cosine_modes,
+    _fft,
+    _ifft,
     _ring_hop,
+    _rung,
     _tap_spectrum,
     kick_phases,
     ring_taps,
@@ -586,3 +590,44 @@ def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_per
     # the run takes the half path and 2N stays 5-smooth.
     n_sites = min(n for n in ODD_LARGE_N if n >= max(n_sites, 2 * _band(beta) + 1))
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=True)
+
+
+def _evolve_lengths(n_sites, beta):
+    """The FFT lengths ``evolve`` takes at (n_sites, beta) with a centre
+    kick: the band's tap ring, and next_fast_len(segment + 2P) on every
+    rung of the full chain's ladder and of the mirror half's."""
+    pad = min(_band(beta), n_sites)
+    lengths = {next_fast_len(4 * pad) if pad < n_sites else 2 * n_sites}
+    for n in (n_sites, (n_sites + 1) // 2):
+        seg = _rung(n, 2)
+        lengths.add(next_fast_len(seg + 2 * pad))
+        while seg < n:
+            seg = _rung(n, seg + 1)
+            lengths.add(next_fast_len(seg + 2 * pad))
+    return lengths
+
+
+# The default chain, long_run's beta = 20 and long_chain's N = 2**16 + 1.
+EVOLVE_LENGTHS = tuple(sorted(
+    _evolve_lengths(1401, 20.0) | _evolve_lengths(1401, 100.0) | _evolve_lengths(65537, 100.0)
+))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.one_of(st.integers(2, 70_000).map(next_fast_len), st.sampled_from(EVOLVE_LENGTHS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=864, seed=0)  # long_run's half-chain hop at beta = 20
+def test_kernel_helpers_are_scipy_fft_bit_for_bit(length, seed):
+    # The hop calls pocketfft's kernel with the arguments scipy.fft.fft and
+    # ifft pass it.  A scipy that passes others fails here, not in a
+    # golden digest.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    for mine, theirs in ((_fft, scipy.fft.fft), (_ifft, scipy.fft.ifft)):
+        want = theirs(a)
+        assert np.array_equal(mine(a), want)
+        inplace = a.copy()
+        assert mine(inplace, inplace) is inplace
+        assert np.array_equal(inplace, want)

@@ -155,7 +155,7 @@ def test_float_keys_store_floats():
     for key in ("beta", "b_q"):
         with pytest.raises(ConfigError) as built:
             ExperimentConfig(**{key: 10**400})
-        assert str(built.value) == f"key '{key}': expected a number, got {10**400!r}"
+        assert str(built.value) == f"key '{key}': expected a number, got an integer of 401 digits"
 
 
 @pytest.mark.parametrize("key,sign,digits,message", [
