@@ -44,14 +44,14 @@ class TestChainParams:
             ({"beta": 10**5000}, "beta must be finite and nonnegative, got an integer of 5001 digits"),
             ({"beta": -(10**5000)}, "got a negative integer of 5001 digits"),
             ({"b_q": 10**400}, "b_q must be finite and nonnegative, got an integer of 401 digits"),
-            ({"n_sites": 10**400}, "n_sites must be an integer in [2, 2**53], got an integer of 401 digits"),
-            ({"n_sites": 2**53 + 1}, "n_sites must be an integer in [2, 2**53], got 9007199254740993"),
-            ({"center": 10**400}, "center must be an integer in [1, 3], got an integer of 401 digits"),
-            ({"center": -(10**400)}, "got a negative integer of 401 digits"),
             ({"b_q": 2**1024}, "b_q must be finite and nonnegative"),
             ({"beta": "x"}, "beta must be a number, got 'x'"),
             ({"b_q": None}, "b_q must be a number, got None"),
             ({"beta": True}, "beta must be a number, got True"),
+            ({"n_sites": 10**400}, "n_sites must be an integer in [2, 2**53], got an integer of 401 digits"),
+            ({"n_sites": 2**53 + 1}, "n_sites must be an integer in [2, 2**53], got 9007199254740993"),
+            ({"center": 10**400}, "center must be an integer in [1, 3], got an integer of 401 digits"),
+            ({"center": -(10**400)}, "got a negative integer of 401 digits"),
         ],
     )
     def test_huge_or_non_numeric_beta_and_b_q_are_one_line(self, kwargs, message):
