@@ -87,14 +87,13 @@ def hop_eigenphases(n_sites: int, beta: float) -> np.ndarray:
     return beta * (1.0 - np.cos(np.pi * m / n_sites))
 
 
-def _cosine_modes(n_sites: int, sites=None) -> np.ndarray:
+def _cosine_modes(n_sites: int) -> np.ndarray:
     """N x N orthogonal matrix whose row m is cosine mode m, built entry by
     entry (never through a transform) so the oracles stay independent of
-    evolve.  ``sites`` (0-based) keeps only those columns."""
+    evolve."""
     n = n_sites
     m = np.arange(n, dtype=np.float64)[:, None]
-    j = np.arange(n) if sites is None else np.asarray(sites)
-    j = j.astype(np.float64)[None, :]
+    j = np.arange(n, dtype=np.float64)[None, :]
     g = np.sqrt(2.0 / n) * np.cos(np.pi / (2.0 * n) * m * (2.0 * j + 1.0))
     g[0, :] = np.sqrt(1.0 / n)
     return g

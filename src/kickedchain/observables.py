@@ -93,8 +93,6 @@ def fit_localization_length(state: SpinState, s0: int) -> LocalizationFit:
         raise ValueError(f"s0 must lie in [1, {n}], got {s0}")
     probs = np.abs(state.amplitudes) ** 2
     peak = float(probs.max())
-    if peak <= 0.0:
-        raise NotLocalizedError("distribution has no probability mass")
 
     # tail[d] is the site d away from s0; a stop past the start would wrap
     # around, so it is clamped at 0.

@@ -77,11 +77,13 @@ class ChainParams:
                 raise ValueError(f"{name} must be finite and nonnegative, got {shown(value)}")
         # The largest per-period phases, the hop's 2*beta and the kick's at
         # the far end of the chain, must be finite and at most MAX_PHASE.
+        # The values show as floats, so an int in the float range is short.
         reach = max(self.center - 1, self.n_sites - self.center)
         for phase, what in (
-            (2.0 * self.beta, f"beta={self.beta!r} makes the hop phase 2*beta"),
+            (2.0 * self.beta, f"beta={float(self.beta)!r} makes the hop phase 2*beta"),
             (0.5 * self.b_q * float(reach) ** 2,
-             f"b_q={self.b_q!r} makes the kick phase (b_q/2)*{reach}**2 at the chain's far end"),
+             f"b_q={float(self.b_q)!r} makes the kick phase (b_q/2)*{reach}**2 "
+             "at the chain's far end"),
         ):
             if not phase <= MAX_PHASE:
                 raise ValueError(

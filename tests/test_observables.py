@@ -104,8 +104,6 @@ def fit_by_site_walk(state: SpinState, s0: int) -> observables.LocalizationFit:
     n = state.n_sites
     probs = np.abs(state.amplitudes) ** 2
     peak = float(probs.max())
-    if peak <= 0.0:
-        raise NotLocalizedError("distribution has no probability mass")
     offsets: list[float] = []
     logs: list[float] = []
     edge_values: list[float] = []

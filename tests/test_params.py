@@ -52,6 +52,9 @@ class TestChainParams:
             ({"n_sites": 2**53 + 1}, "n_sites must be an integer in [2, 2**53], got 9007199254740993"),
             ({"center": 10**400}, "center must be an integer in [1, 3], got an integer of 401 digits"),
             ({"center": -(10**400)}, "got a negative integer of 401 digits"),
+            # Inside the float range an int past the phase limit shows as a float.
+            ({"beta": 10**300, "b_q": 0.0}, "beta=1e+300 makes the hop phase 2*beta = 2e+300"),
+            ({"b_q": 10**300}, "b_q=1e+300 makes the kick phase (b_q/2)*1**2"),
         ],
     )
     def test_huge_or_non_numeric_beta_and_b_q_are_one_line(self, kwargs, message):
@@ -61,6 +64,7 @@ class TestChainParams:
             ChainParams(**base)
         assert message in str(info.value)
         assert "\n" not in str(info.value)
+        assert len(str(info.value)) <= 160
 
     def test_phases_above_two_to_the_53_are_refused(self):
         # 2*beta and (b_q/2)*reach**2 may reach 2**53 and no further.

@@ -49,8 +49,9 @@ class TestSuite:
 
     def test_mutation_breaks_engine_equivalence(self, monkeypatch):
         # A sign error injected into the ring-kernel hop that evolve calls:
-        # the dense route is untouched, so exactly the cross-engine check
-        # must trip.
+        # the dense route is untouched, so the cross-engine check must trip
+        # (and the quadrature check, which runs evolve too), never the
+        # dense-only matrix-exponential check.
         real = kickedchain.chain._ring_hop
         edges = set()
 
@@ -67,6 +68,25 @@ class TestSuite:
         # Both of the check's chains ran the corrupted hop: N=257 (center
         # 129) on the mirror-symmetric half path, N=256 on the full chain.
         assert edges == {True, False}
+
+    def test_quadrature_check_runs_evolve_below_rung_0(self, monkeypatch):
+        # A sign error only in full-chain hops of a segment shorter than
+        # the chain: the quadrature check's one-period runs from both open
+        # ends hop such segments, the cross-engine check's never do (N=256
+        # is on rung 0 from its first period, N=257 takes the half path).
+        real = kickedchain.chain._ring_hop
+        clipped = []
+
+        def corrupted(amps, pad, spectrum, buf, centre=False):
+            if centre or amps.size >= 256:
+                return real(amps, pad, spectrum, buf, centre)
+            clipped.append(amps.size)
+            return real(amps, pad, np.conj(spectrum), buf, centre)
+
+        monkeypatch.setattr(kickedchain.chain, "_ring_hop", corrupted)
+        assert validate_suite().failures == ("quadrature_vs_propagator",)
+        # Six starts at each end of N=1024, one period each.
+        assert len(clipped) == 12
 
     def test_concurrence_check_runs_the_production_formula(self, monkeypatch):
         # The check reads production concurrence, so doubling the pair
