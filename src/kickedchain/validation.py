@@ -106,17 +106,13 @@ def _check_engine_equivalence() -> float:
 
 
 def _check_quadrature() -> float:
-    # Production evolve's one-period hop against the continuum integral,
-    # at both open ends of a long chain: from sites s near the left end,
-    # rows 1..40, and from their mirrors N+1-s at rows N+1-r, since the
-    # reflection r -> N+1-r is a symmetry of the open-chain hop.  The
-    # integral holds the near end's image term of Bessel order r+s-1,
-    # and the far end's has order near 2N and vanishes at beta = 10, so
-    # the two agree to rounding.  Each start's light cone is short of the
-    # chain, so evolve hops a sub-rung segment clipped at the open end,
-    # on the left (s0 = 0) and on the right (s0 = N - seg) alike.
-    # frs_quadrature takes the 40x6 grid in one call, one DCT-I per
-    # trapezoid resolution.
+    # Production evolve's one-period hop against the continuum integral
+    # at both open ends: rows 1..40 from sites s near the left end, and
+    # rows N+1-r from the mirror sites N+1-s (the reflection is a symmetry
+    # of the open-chain hop).  The integral holds the near end's image
+    # term J_{r+s-1}; the far end's has order near 2N and vanishes at
+    # beta = 10.  Each cone is short of the chain, so evolve hops a
+    # segment below rung 0 clipped at the open end, on either side.
     p = ChainParams(n_sites=1024, center=512, beta=10.0, b_q=0.1)
     n, ctx = p.n_sites, chain.make_context(p)
     starts = np.array((1, 2, 3, 5, 8, 13))
