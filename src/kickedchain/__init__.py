@@ -53,6 +53,7 @@ from .observables import (
     max_concurrence,
     mode_decay,
     packet_centers,
+    pair_clearance,
     q_measure,
     remnant_halfwidth,
     spread_variance,

@@ -8,7 +8,8 @@ pulse ``pulse``, the key of ``modes.json``, so that file is the reports'
 ``asdict``.  This module owns the packet geometry built on the advance of
 2*pi/b_q sites per period, which ``params.derived_params`` owns as
 ``hop_distance``: the corridor, the packet margin, ``packet_centers``,
-``trackable_pulses``, and the pulse window of the decay fit.
+``trackable_pulses``, the heralding window's ``pair_clearance``, and the
+pulse window of the decay fit.
 
 Site coordinates here are 1-based, matching the chain convention; fitted
 peak positions are real-valued in the same coordinate.
@@ -282,17 +283,6 @@ class ModeReport:
     remnant_weight: float
 
 
-def _span_median(values: np.ndarray) -> float:
-    """Median of a non-empty array, bit for bit np.median's value.
-
-    Half the sum of the two middle order statistics (one and the same for
-    an odd length), found by one partial sort.
-    """
-    lo, hi = (values.size - 1) // 2, values.size // 2
-    part = np.partition(values, (lo, hi))
-    return float(0.5 * (part[lo] + part[hi]))
-
-
 def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     """Quadratic fit of ln P over the peak's FWHM window (weighted by P)."""
     n = probs.size
@@ -333,7 +323,10 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     span_lo = max(0, int(math.ceil(center - PACKET_MARGIN_WIDTHS * width)))
     span_hi = min(n - 1, int(math.floor(center + PACKET_MARGIN_WIDTHS * width)))
     span = probs[span_lo:span_hi + 1]  # empty for a center fitted off the chain
-    if span.size and p_peak < MODE_PROMINENCE * _span_median(span):
+    # statistics.median gives np.median's value at a fraction of its call
+    # cost; imported here, its ~6 ms import stays off runs that fit no packet.
+    import statistics
+    if span.size and p_peak < MODE_PROMINENCE * statistics.median(span.tolist()):
         return None  # ripple riding on a pedestal, not a freestanding packet
     weight = float(span.sum())
     return GaussianMode(
@@ -396,6 +389,18 @@ def detect_accelerator_modes(state: SpinState, pulse_index: int, p: ChainParams)
     # report always partitions total probability
     remnant = 1.0 - sum(m.weight for m in accepted)
     return ModeReport(pulse=pulse_index, modes=tuple(accepted), remnant_weight=remnant)
+
+
+def pair_clearance(report: ModeReport, p: ChainParams) -> float:
+    """Half-width of the heralding window: the sites from the chain center
+    to PACKET_MARGIN_WIDTHS fitted widths inside the nearest packet of
+    ``report``.  With no packet, or at most one site of clearance, the
+    remnant half-width pi * j / b_q at the report's pulse."""
+    b = min((abs(m.position - p.center) - PACKET_MARGIN_WIDTHS * m.width for m in report.modes),
+            default=0.0)
+    if b <= 1.0:
+        b = remnant_halfwidth(report.pulse, p)
+    return b
 
 
 @dataclass(frozen=True)

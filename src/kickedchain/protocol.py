@@ -6,8 +6,8 @@ the central region heralds the pair: the branch where the excitation is
 absent (probability roughly the weight carried by the packets) is close to
 an equal superposition of two Gaussians at center +- 2*pi*j/b_q, and it is
 the only branch ``central_measurement`` returns.  The packet geometry
-(centers, margins, detection) comes from ``observables``; this module
-measures and grades.
+(centers, margins, detection, the window's half-width) comes from
+``observables``; this module measures and grades.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import numpy as np
 
 from .chain import evolve, make_context
 from .errors import EmptyBranchWarning
-from .observables import (
-    PACKET_MARGIN_WIDTHS,
-    detect_accelerator_modes,
-    packet_centers,
-    remnant_halfwidth,
-)
+from .observables import detect_accelerator_modes, packet_centers, pair_clearance
 from .params import ChainParams
 from .state import SpinState, site_state
 
@@ -77,20 +72,15 @@ def _packet(p: ChainParams, center: float) -> np.ndarray:
 def measurement_window(p: ChainParams, state: SpinState, pulse_index: int) -> tuple[int, int]:
     """Central region to measure: everything short of the traveling packets.
 
-    The window runs from the chain center out to PACKET_MARGIN_WIDTHS fitted
-    widths inside the packets located by detect_accelerator_modes, so the excitation-absent
-    branch keeps the packets and nothing else.  A fixed boundary at
-    pi * j / b_q (half the expected packet displacement) would strand the
-    slower diffusive tail of the remnant outside the measured region and
-    overstate the success probability.  When no packets are detected the
-    fixed boundary is the fallback.
+    The window reaches ``pair_clearance`` sites either side of the chain
+    center, stopping short of the packets located by
+    detect_accelerator_modes, so the excitation-absent branch keeps the
+    packets and nothing else.  A fixed boundary at pi * j / b_q (half the
+    expected packet displacement) would strand the slower diffusive tail of
+    the remnant outside the measured region and overstate the success
+    probability, so it is only the fallback when no packets are detected.
     """
-    report = detect_accelerator_modes(state, pulse_index, p)
-    b = 0.0
-    if report.modes:
-        b = min(abs(m.position - p.center) - PACKET_MARGIN_WIDTHS * m.width for m in report.modes)
-    if b <= 1.0:
-        b = remnant_halfwidth(pulse_index, p)
+    b = pair_clearance(detect_accelerator_modes(state, pulse_index, p), p)
     lo = max(1, int(math.ceil(p.center - b)))
     hi = min(p.n_sites, int(math.floor(p.center + b)))
     return lo, hi

@@ -10,6 +10,7 @@ a failure here means a real regression, not noise.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -202,10 +203,22 @@ _CHECKS: tuple[tuple[str, Callable[[], float], float], ...] = (
 )
 
 
+def _deviation(name: str, fn: Callable[[], float]) -> float:
+    # A check that raises has failed: deviation inf, and one warning line
+    # that names it.  KeyboardInterrupt is no Exception and still escapes.
+    try:
+        return float(fn())
+    except Exception as exc:
+        warnings.warn(f"check {name} raised {type(exc).__name__}: {' '.join(str(exc).split())}",
+                      RuntimeWarning, stacklevel=3)
+        return math.inf
+
+
 def validate_suite() -> ValidationReport:
     """Run every cross-check in declared order and report deviations
-    against tolerances."""
+    against tolerances.  A check that raises is recorded as failed, with
+    deviation inf and a RuntimeWarning, and the rest still run."""
     return ValidationReport(checks=tuple(
-        CheckResult(name=name, deviation=float(fn()), tolerance=tol)
+        CheckResult(name=name, deviation=_deviation(name, fn), tolerance=tol)
         for name, fn, tol in _CHECKS
     ))

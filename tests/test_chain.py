@@ -147,6 +147,15 @@ class TestEvolution:
         assert traj.periods == (0, 3, 6, 7)
         assert len(traj.states) == 4
 
+    @pytest.mark.parametrize("n_periods,record_every,message", [
+        (-1, 1, "n_periods must be nonnegative"),
+        (1, 0, "record_every must be >= 1"),
+    ])
+    def test_refuses_a_bad_schedule(self, n_periods, record_every, message):
+        with pytest.raises(ValueError) as info:
+            evolve(site_state(64, 32), make_context(P64), n_periods, record_every=record_every)
+        assert str(info.value) == message
+
     def test_snapshot_budget(self):
         ctx = make_context(P64)
         with pytest.raises(MemoryBudgetError):

@@ -12,7 +12,7 @@ import tempfile
 
 import pytest
 
-from kickedchain import cli
+from kickedchain import cli, validation
 from kickedchain.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -287,6 +287,35 @@ def test_validate_prints_each_check_with_its_margin(tmp_path, capsys):
         assert float(deviation) == pytest.approx(check["deviation"], rel=1e-3, abs=1e-300)
         assert float(tolerance) == check["tolerance"]
         assert float(margin) == pytest.approx(check["deviation"] / check["tolerance"], rel=1e-2)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["over_tolerance", "raises"])
+def test_failed_check_exits_3(raises, monkeypatch, tmp_path, capsys):
+    # One check past its tolerance, or one that raises: either is one FAIL
+    # line among eight passes and exit 3.  The exception is one warning
+    # line on stderr, never a traceback.
+    checks = list(validation._CHECKS)
+    name, _, tolerance = checks[3]
+
+    def broken():
+        if raises:
+            raise ValueError("state is not\nnormalized")
+        return 2.0 * tolerance
+
+    checks[3] = (name, broken, tolerance)
+    monkeypatch.setattr(validation, "_CHECKS", tuple(checks))
+    code = main(["validate", "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    statuses = [ln.split()[:2] for ln in out.splitlines() if ln.startswith("  ")]
+    assert [s for s in statuses if s[0] != "pass"] == [["FAIL", f"{name}:"]]
+    assert len(statuses) == 9
+    assert "Traceback" not in out + err
+    if raises:
+        assert err == (f"warning: RuntimeWarning: check {name} raised ValueError: "
+                       "state is not normalized\n")
+    else:
+        assert err == ""
 
 
 def test_accel_pulse_check_stops_at_trackable_pulses(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -18,6 +17,7 @@ from kickedchain import (
     max_concurrence,
     mode_decay,
     observables,
+    pair_clearance,
     parse_config,
     q_measure,
     remnant_halfwidth,
@@ -215,6 +215,9 @@ class TestEntanglementMeasures:
         state = normalized_state(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             concurrence(state, 1, 3)
+        with pytest.raises(ValueError) as info:
+            concurrence(state, 2, 2)
+        assert str(info.value) == "concurrence needs two distinct sites"
 
     def test_max_concurrence_two_site_peak(self):
         state = normalized_state(np.array([0.5, 0.5]))
@@ -353,6 +356,22 @@ class TestModeDetection:
         with pytest.raises(ValueError):
             remnant_halfwidth(0, self.P)
 
+    def test_pair_clearance_rule(self):
+        # Width 1/sqrt(0.25) = 2 sites: the nearest packet, 60 sites out,
+        # leaves 60 - 3 * 2 = 54 sites.  One site of clearance, or no
+        # packet, falls back to the remnant half-width.
+        def mode(offset):
+            return GaussianMode(position=self.P.center + offset, amplitude=1.0,
+                                width_parameter=0.25, weight=0.1)
+
+        def report(*offsets):
+            return ModeReport(pulse=3, modes=tuple(map(mode, offsets)), remnant_weight=0.5)
+
+        assert pair_clearance(report(-60.0, 90.0), self.P) == 54.0
+        fallback = remnant_halfwidth(3, self.P)
+        assert pair_clearance(report(7.0, 90.0), self.P) == fallback
+        assert pair_clearance(report(), self.P) == fallback
+
     def test_state_size_mismatch_is_a_package_error(self):
         # The same error evolve raises, so a caller catching
         # KickedChainError sees it.
@@ -468,13 +487,25 @@ def test_sharp_peak_fit_raises_no_warning():
         assert observables._fit_gaussian_peak(probs, 20) is None
 
 
-class TestBackdrop:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
-    def test_partition_median_matches_numpy_bit_for_bit(self, size):
-        for values in itertools.product((0.0, 5e-324, 1.0), repeat=size):
-            span = np.array(values)
-            got = np.float64(observables._span_median(span))
-            assert got.tobytes() == np.float64(np.median(span)).tobytes(), values
+class TestProminence:
+    # A Gaussian peak (B = 0.05, peak at site 101) on a flat pedestal of q
+    # times its height.  Over the fitted span the peak stands 134, 5.95 and
+    # 3.50 times above the median for the kept q, and 2.67, 2.0 and 1.2
+    # times for the refused ones, against MODE_PROMINENCE = 3.
+    @pytest.mark.parametrize("q,kept", [
+        (0.0, True), (0.2, True), (0.4, True), (0.6, False), (1.0, False), (5.0, False),
+    ])
+    def test_pedestal_decides_the_fit(self, q, kept, monkeypatch):
+        x = np.arange(201, dtype=np.float64)
+        probs = np.exp(-2.0 * 0.05 * (x - 100.0) ** 2) + q
+        mode = observables._fit_gaussian_peak(probs, 100)
+        assert (mode is not None) == kept
+        if kept:
+            assert mode.position == pytest.approx(101.0, abs=1e-9)
+        # With the rule off every one of these peaks fits, so a refusal
+        # here is the prominence rule's alone.
+        monkeypatch.setattr(observables, "MODE_PROMINENCE", 0.0)
+        assert observables._fit_gaussian_peak(probs, 100) is not None
 
 
 def synthetic_reports(pulses, weights_per_pulse) -> list[ModeReport]:

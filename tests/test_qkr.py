@@ -154,6 +154,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             frs_quadrature(0, 1, p)
 
+    @pytest.mark.parametrize("r", [1.5, np.array([2.0])])
+    def test_rejects_non_integer_sites(self, r):
+        p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
+        with pytest.raises(ValueError) as info:
+            frs_quadrature(r, 1, p)
+        assert str(info.value) == "site indices must be integers"
+
     @pytest.mark.parametrize("r,s", [(1, 1), (50, 50), (3, 90)])
     def test_coarse_aliasing_raises(self, r, s):
         # At beta = 2e4 the kick's bandwidth exceeds both panel counts, so
