@@ -74,7 +74,6 @@ from .qkr import (
     qkr_kick_matrix,
     rechester_d,
     ring_kick_matrix,
-    ring_propagator,
     standard_map,
 )
 from .state import SpinState, site_state

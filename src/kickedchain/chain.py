@@ -25,8 +25,8 @@ taps come from an inverse FFT of the ring eigenphases (``ring_taps``),
 never from Bessel functions: for W < N on a ring of next_fast_len(4W)
 sites, whose aliases lie 3W and more out in the tail, so they cost O(W)
 and depend on beta alone; for W >= N on the 2N ring itself.
-``qkr.ring_propagator`` is built from ``ring_taps`` too, so the Bessel
-checks against it see the production hop.
+``validate`` holds ``ring_taps`` to the first column of
+``qkr.ring_kick_matrix``, so the Bessel check sees the production taps.
 
 The banded hop moves amplitude at most P sites per period, so a state
 that starts on a few sites has a strict light cone.  ``evolve`` hops the
@@ -60,8 +60,8 @@ The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
 built from them here (``uhc_matrix``, ``oracle_hamiltonian``), are
 size-capped test oracles only.  The chain is always open: the ring that
-matches the kicked rotor exactly is ``qkr.ring_propagator``.  Snapshots
-are always taken immediately after the kick.
+matches the kicked rotor exactly is the circulant of ``ring_taps``.
+Snapshots are always taken immediately after the kick.
 """
 
 from __future__ import annotations

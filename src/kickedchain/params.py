@@ -18,8 +18,9 @@ n' = n + beta sin k (the hop), k' = k - b_q n' (the kick): with P = -b_q n
 it is the standard map with kick -K_s, whose period-1 mode sits at
 sin k* = 1/alpha with monodromy [[1 - K_s cos k*, 1], [-K_s cos k*, 1]]
 (Fishman, Guarneri & Rebuzzini, PRL 89, 084101, 2002).  The chain
-is always open; the ring that matches the rotor exactly lives in ``qkr``
-and takes (n_sites, beta) directly.
+is always open; the ring that matches the rotor exactly is the circulant
+of ``chain.ring_taps(n_sites, beta)``, which ``validate`` holds to the
+first column of ``qkr.ring_kick_matrix``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from .qkr import (
     qkr_kick_matrix,
     rechester_d,
     ring_kick_matrix,
-    ring_propagator,
 )
 from .state import SpinState, site_state
 
@@ -138,12 +137,12 @@ def _check_kick_matrix_interior() -> float:
 
 def _check_ring_exactness() -> float:
     n, beta = 256, 10.0
-    exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)
-    return float(np.max(np.abs(ring_propagator(n, beta) - exact)))
+    exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)[:, 0]
+    return float(np.max(np.abs(chain.ring_taps(n, beta) - exact)))
 
 
 def _check_classical_diffusion() -> float:
-    slope = classical_diffusion(10.0, ensemble=10_000, steps=50, seed=0)
+    slope = classical_diffusion(10.0)
     return abs(slope / rechester_d(10.0) - 1.0)
 
 

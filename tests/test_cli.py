@@ -193,6 +193,20 @@ def test_bad_positional_experiment_is_a_config_error(tmp_path, capsys):
     assert err.endswith("got 'nonsense'\n")
 
 
+@pytest.mark.parametrize("argv", [[], ["fig1", "--bogus"]], ids=["no experiment", "unknown option"])
+def test_usage_error_exits_one(argv, monkeypatch, tmp_path, capsys):
+    # argparse's own exit is 2, which is the capacity code here.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kickedchain: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_empty_out_is_a_config_error(capsys):
     code = main(["evolve", *TINY, "--out", ""])
     assert code == 1

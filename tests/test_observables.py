@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -222,6 +223,8 @@ class TestEntanglementMeasures:
     def test_max_concurrence_two_site_peak(self):
         state = normalized_state(np.array([0.5, 0.5]))
         assert max_concurrence(state) == pytest.approx(2.0, rel=1e-12)
+        # One site holds no pair.
+        assert max_concurrence(site_state(1, 1)) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(parts=st.lists(st.tuples(_component, _component), min_size=2, max_size=40))
@@ -355,6 +358,8 @@ class TestModeDetection:
         assert remnant_halfwidth(3, self.P) == pytest.approx(3.0 * math.pi / self.P.b_q)
         with pytest.raises(ValueError):
             remnant_halfwidth(0, self.P)
+        with pytest.raises(ValueError, match="remnant geometry needs b_q > 0"):
+            remnant_halfwidth(1, dataclasses.replace(self.P, b_q=0.0))
 
     def test_pair_clearance_rule(self):
         # Width 1/sqrt(0.25) = 2 sites: the nearest packet, 60 sites out,

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from kickedchain import ChainParams, SpinState, derived_params, ring_propagator, site_state
+from kickedchain import ChainParams, SpinState, derived_params, site_state
 from kickedchain.params import STABLE_ALPHA_MAX, STABLE_ALPHA_MIN
 
 FIG1 = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=1.0 / 15.0)
@@ -73,11 +73,6 @@ class TestChainParams:
             ChainParams(n_sites=3, center=2, beta=math.nextafter(2.0**52, math.inf), b_q=0.0)
         with pytest.raises(ValueError, match=r"\(b_q/2\)\*1\*\*2 at the chain's far end = 9"):
             ChainParams(n_sites=3, center=2, beta=0.0, b_q=math.nextafter(2.0**54, math.inf))
-
-    def test_ring_needs_three_sites(self):
-        # The ring is a kicked-rotor reference, not a ChainParams option.
-        with pytest.raises(ValueError, match="n_sites >= 3"):
-            ring_propagator(2, 1.0)
 
 
 class TestDerivedParams:
