@@ -73,7 +73,7 @@ from .qkr import (
     frs_quadrature,
     qkr_kick_matrix,
     rechester_d,
-    ring_kick_matrix,
+    ring_kick_column,
     standard_map,
 )
 from .state import SpinState, site_state

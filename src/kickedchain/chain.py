@@ -25,8 +25,8 @@ taps come from an inverse FFT of the ring eigenphases (``ring_taps``),
 never from Bessel functions: for W < N on a ring of next_fast_len(4W)
 sites, whose aliases lie 3W and more out in the tail, so they cost O(W)
 and depend on beta alone; for W >= N on the 2N ring itself.
-``validate`` holds ``ring_taps`` to the first column of
-``qkr.ring_kick_matrix``, so the Bessel check sees the production taps.
+``validate`` holds ``ring_taps`` to ``qkr.ring_kick_column``, the
+rotor's Bessel column, so the Bessel check sees the production taps.
 
 The banded hop moves amplitude at most P sites per period, so a state
 that starts on a few sites has a strict light cone.  ``evolve`` hops the
@@ -56,6 +56,20 @@ call at length 864 (shared 2-vCPU Xeon, best of 7), against 6.0 and
 7.2 us for the kernel itself.  At N = 1401, beta = 20 that dispatch was
 about 28% of a period of ``evolve``, so the hop skips it.
 
+The kernel's module, ``scipy.fft._pocketfft.pypocketfft``, is loaded
+from its file (``_load_pocketfft``), never through ``import scipy.fft``:
+that package's Python code, ``scipy.special`` included, took 0.13 s of
+a 0.19 s ``import kickedchain`` (``-X importtime``, median of 7, shared
+2-vCPU Xeon), longer than a default run's periods, and the hop uses
+none of it.  The import now takes 0.06 s, 0.034 s of it numpy's.
+``next_fast_len`` is the module's ``good_size``, which
+``scipy.fft.next_fast_len`` wraps in a cache.  The module is registered
+in ``sys.modules`` under its own name, so a later ``import scipy.fft``
+reuses it (its package then lacks the ``pypocketfft`` attribute, but
+``from scipy.fft._pocketfft import pypocketfft``, as SciPy itself
+imports it, finds it).  Where SciPy's layout hides the file, the plain
+import loads the same kernel: that costs time, never bits.
+
 The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
 built from them here (``uhc_matrix``, ``oracle_hamiltonian``), are
@@ -66,12 +80,14 @@ Snapshots are always taken immediately after the kick.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 from .errors import CapacityError, MemoryBudgetError
 from .params import ChainParams
@@ -79,6 +95,38 @@ from .state import SpinState, check_sites
 
 DENSE_CAP = 4096
 MAX_SNAPSHOT_VALUES = 20_000_000
+
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """SciPy's compiled pocketfft module, loaded from its file so that no
+    ``scipy.fft`` package code runs (see the module docstring).  It is
+    registered in ``sys.modules`` under its own name, and an entry already
+    there is reused, so kickedchain and ``scipy.fft`` share one module in
+    either import order.  If SciPy's layout hides the file, the plain
+    import loads the same kernel."""
+    module = sys.modules.get(_POCKETFFT)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = scipy_spec and importlib.machinery.PathFinder.find_spec(_POCKETFFT, [
+        os.path.join(d, "fft", "_pocketfft") for d in scipy_spec.submodule_search_locations
+    ])
+    if spec is None:
+        from scipy.fft._pocketfft import pypocketfft
+
+        return pypocketfft
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_POCKETFFT] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+_c2c = _pocketfft.c2c
+# scipy.fft.next_fast_len(n) is good_size(n, real=False), behind a cache.
+_next_fast_len = _pocketfft.good_size
 
 
 def hop_eigenphases(n_sites: int, beta: float) -> np.ndarray:
@@ -173,7 +221,7 @@ def _band_taps(n_sites: int, beta: float) -> np.ndarray:
     else it is the 2N ring, exact."""
     band = int(np.ceil(beta + 10.0 * beta ** (1.0 / 3.0) + 30.0))
     pad = min(band, n_sites)
-    ring = next_fast_len(4 * pad) if band < n_sites else 2 * n_sites
+    ring = _next_fast_len(4 * pad) if band < n_sites else 2 * n_sites
     taps = ring_taps(ring, beta)[np.arange(-pad, pad + 1) % ring]
     if pad == n_sites:
         # d = +N and -N are one offset of the 2N ring: split it evenly so
@@ -252,7 +300,7 @@ def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
     backwards with the conjugate tap spectrum (the taps are symmetric in d)."""
     check_sites(state, ctx.params.n_sites)
     amps = state.amplitudes * np.conj(ctx.kick_factors)
-    length = next_fast_len(amps.size + 2 * ctx.pad)
+    length = _next_fast_len(amps.size + 2 * ctx.pad)
     spectrum = np.conj(_tap_spectrum(ctx.band_taps, length))
     return SpinState(_ring_hop(amps, ctx.pad, spectrum, np.zeros(length, dtype=np.complex128)))
 
@@ -360,7 +408,7 @@ def evolve(
             c0, c1 = max(lo - pad * j, 0), min(hi + pad * j, n)
             if c1 - c0 > seg:
                 seg = _rung(n, c1 - c0)
-                length = next_fast_len(seg + 2 * pad)
+                length = _next_fast_len(seg + 2 * pad)
                 spectrum = _tap_spectrum(ctx.band_taps, length)
                 buf = np.zeros(length, dtype=np.complex128)
             if seg == n:

@@ -106,7 +106,3 @@ def main(argv: list[str] | None = None) -> int:
         if not report["passed"]:
             return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ sin k* = 1/alpha with monodromy [[1 - K_s cos k*, 1], [-K_s cos k*, 1]]
 (Fishman, Guarneri & Rebuzzini, PRL 89, 084101, 2002).  The chain
 is always open; the ring that matches the rotor exactly is the circulant
 of ``chain.ring_taps(n_sites, beta)``, which ``validate`` holds to the
-first column of ``qkr.ring_kick_matrix``.
+Bessel column ``qkr.ring_kick_column``.
 """
 
 from __future__ import annotations

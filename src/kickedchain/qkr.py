@@ -10,15 +10,19 @@ rotor kick operator,
 
 exactly on a ring and up to boundary-image terms on the open chain.
 The exact ring is the circulant of the chain's own hop taps
-(``chain.ring_taps``); ``validate`` holds those taps to the first column
-of ``ring_kick_matrix``, built here from Bessel functions alone, so the
-reference never reads the code it checks.  The reference matrices take
-the plain numbers they use: a size (momentum states) and the Bessel
-argument beta.  The classical limit is the standard map with
-stochasticity K = beta * b_q, iterated on whole ensembles by
+(``chain.ring_taps``); ``validate`` holds those taps to
+``ring_kick_column``, the circulant's first column built here from
+Bessel functions alone, so the reference never reads the code it checks.
+The references take the plain numbers they use: a size (momentum states)
+and the Bessel argument beta.  The classical limit is the standard map
+with stochasticity K = beta * b_q, iterated on whole ensembles by
 ``standard_map``.  Where K places the accelerator modes,
 alpha = K/2*pi and its stable window, is a derived parameter of the chain
 (``params.DerivedParams.in_accelerator_window``).
+
+Only ``validate``, the dense references and ``rechester_d`` need
+``scipy.special`` and ``scipy.fft``, so each function imports what it
+uses on first call and ``import kickedchain`` loads neither.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import jv
 
 from .errors import QuadratureConvergenceError, WeakChaosWarning
 from .params import ChainParams
@@ -54,24 +56,26 @@ def qkr_kick_matrix(size: int, beta: float) -> np.ndarray:
 
     Symmetric Toeplitz; at beta = 0 it is the identity.
     """
+    from scipy.special import jv
+
     js = jv(np.arange(size), beta)
     idx = np.arange(size)
     d = idx[:, None] - idx[None, :]
     return _i_power_times_bessel(d, js)
 
 
-def ring_kick_matrix(size: int, beta: float) -> np.ndarray:
-    """Kick operator on a ring of ``size`` momentum states (circulant).
+def ring_kick_column(size: int, beta: float) -> np.ndarray:
+    """First column of the kick operator on a ring of ``size`` momentum
+    states, entry d = i^d J_d(beta); the operator is the circulant of it.
 
-    Index differences wrap to the nearest representative in [-N/2, N/2);
-    aliased orders beyond that are negligible for beta well below N.
+    Orders wrap to the nearest representative in [-N/2, N/2); aliased
+    orders beyond that are negligible for beta well below N.
     """
+    from scipy.special import jv
+
     n = size
     js = jv(np.arange(n // 2 + 1), beta)
-    idx = np.arange(n)
-    d = idx[:, None] - idx[None, :]
-    dw = (d + n // 2) % n - n // 2
-    return _i_power_times_bessel(dw, js)
+    return _i_power_times_bessel((np.arange(n) + n // 2) % n - n // 2, js)
 
 
 def frs_quadrature(
@@ -86,6 +90,8 @@ def frs_quadrature(
     QuadratureConvergenceError if halving the resolution shifts any entry
     by more than 1e-9.
     """
+    from scipy.fft import dct
+
     r, s = np.broadcast_arrays(np.asarray(r), np.asarray(s))
     if not (np.issubdtype(r.dtype, np.integer) and np.issubdtype(s.dtype, np.integer)):
         raise ValueError("site indices must be integers")
@@ -171,6 +177,8 @@ def rechester_d(kick_strength: float) -> float:
     """
     if not math.isfinite(kick_strength) or kick_strength <= 0.0:
         raise ValueError(f"kick_strength must be positive, got {kick_strength!r}")
+    from scipy.special import jv
+
     j2 = float(jv(2, kick_strength))
     return 0.5 * kick_strength**2 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2)
 

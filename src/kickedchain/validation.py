@@ -24,7 +24,7 @@ from .qkr import (
     frs_quadrature,
     qkr_kick_matrix,
     rechester_d,
-    ring_kick_matrix,
+    ring_kick_column,
 )
 from .state import SpinState, site_state
 
@@ -137,7 +137,7 @@ def _check_kick_matrix_interior() -> float:
 
 def _check_ring_exactness() -> float:
     n, beta = 256, 10.0
-    exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)[:, 0]
+    exact = np.exp(-1j * beta) * ring_kick_column(n, beta)
     return float(np.max(np.abs(chain.ring_taps(n, beta) - exact)))
 
 

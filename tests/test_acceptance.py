@@ -37,7 +37,7 @@ from kickedchain import (
     q_measure,
     qkr_kick_matrix,
     rechester_d,
-    ring_kick_matrix,
+    ring_kick_column,
     run_experiment,
     run_protocol,
     site_state,
@@ -89,7 +89,7 @@ def test_criterion_02_propagator_matches_matrix_exponential():
 def test_criterion_03_kicked_rotor_correspondence():
     t0 = time.perf_counter()
     n, beta = 256, 20.0
-    exact = np.exp(-1j * beta) * ring_kick_matrix(n, beta)[:, 0]
+    exact = np.exp(-1j * beta) * ring_kick_column(n, beta)
     ring_dev = float(np.max(np.abs(ring_taps(n, beta) - exact)))
 
     open_p = ChainParams(n_sites=n, center=n // 2, beta=beta, b_q=0.1)

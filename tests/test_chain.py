@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -18,11 +23,13 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
+import kickedchain.chain
 from kickedchain.chain import (
     _band_taps,
     _cosine_modes,
     _fft,
     _ifft,
+    _next_fast_len,
     _ring_hop,
     _rung,
     _tap_spectrum,
@@ -601,19 +608,27 @@ def test_symmetric_oracle_sweep_large_n(n_sites, beta, b_q, center, where, n_per
     _check_against_oracle(n_sites, beta, b_q, center, where, n_periods, seed, mirror=True)
 
 
-def _evolve_lengths(n_sites, beta):
-    """The FFT lengths ``evolve`` takes at (n_sites, beta) with a centre
-    kick: the band's tap ring, and next_fast_len(segment + 2P) on every
-    rung of the full chain's ladder and of the mirror half's."""
+def _length_requests(n_sites, beta):
+    """The lengths ``evolve`` and ``_band_taps`` round up by next_fast_len
+    at (n_sites, beta) with a centre kick: 4W for the band's tap ring
+    while W < N, and segment + 2P on every rung of the full chain's ladder
+    and of the mirror half's."""
     pad = min(_band(beta), n_sites)
-    lengths = {next_fast_len(4 * pad) if pad < n_sites else 2 * n_sites}
+    requests = {4 * pad} if pad < n_sites else set()
     for n in (n_sites, (n_sites + 1) // 2):
         seg = _rung(n, 2)
-        lengths.add(next_fast_len(seg + 2 * pad))
+        requests.add(seg + 2 * pad)
         while seg < n:
             seg = _rung(n, seg + 1)
-            lengths.add(next_fast_len(seg + 2 * pad))
-    return lengths
+            requests.add(seg + 2 * pad)
+    return requests
+
+
+def _evolve_lengths(n_sites, beta):
+    """The FFT lengths ``evolve`` takes at (n_sites, beta) with a centre
+    kick: the rounded requests, and the 2N ring of a folded band."""
+    lengths = {next_fast_len(length) for length in _length_requests(n_sites, beta)}
+    return lengths | ({2 * n_sites} if _band(beta) >= n_sites else set())
 
 
 # The default chain, long_run's beta = 20 and long_chain's N = 2**16 + 1.
@@ -640,3 +655,85 @@ def test_kernel_helpers_are_scipy_fft_bit_for_bit(length, seed):
         inplace = a.copy()
         assert mine(inplace, inplace) is inplace
         assert np.array_equal(inplace, want)
+
+
+def test_next_fast_len_is_scipy_fft_on_a_range():
+    n = np.arange(1, 100_001).tolist()
+    assert list(map(_next_fast_len, n)) == list(map(scipy.fft.next_fast_len, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_sites=st.integers(3, 300_000), beta=st.one_of(st.floats(0.0, 200.0), st.floats(0.0, 1e5)))
+@example(n_sites=1401, beta=20.0)  # long_run
+@example(n_sites=65537, beta=100.0)  # long_chain
+def test_next_fast_len_on_the_requested_lengths(n_sites, beta):
+    # Every length evolve and _band_taps round up, and the folded band's
+    # 2N ring.
+    for length in _length_requests(n_sites, beta) | {2 * n_sites}:
+        assert _next_fast_len(length) == next_fast_len(length)
+
+
+def _run_python(code):
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(kickedchain.chain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("first,second", [("kickedchain", "scipy.fft"), ("scipy.fft", "kickedchain")])
+def test_hop_and_scipy_fft_share_one_kernel(first, second):
+    # kickedchain loads pocketfft's module without scipy.fft and registers
+    # it under its own name, so either import order leaves one module.
+    _run_python(
+        "import importlib, sys\n"
+        "import numpy as np\n"
+        f"importlib.import_module({first!r})\n"
+        f"assert ('scipy.fft' in sys.modules) == ({first!r} == 'scipy.fft')\n"
+        f"importlib.import_module({second!r})\n"
+        "import scipy.fft\n"
+        "from scipy.fft._pocketfft import pypocketfft\n"
+        "from kickedchain import chain\n"
+        "assert sys.modules['scipy.fft._pocketfft.pypocketfft'] is pypocketfft\n"
+        "assert chain._c2c is pypocketfft.c2c\n"
+        "a = np.exp(1j * np.arange(864.0))\n"
+        "assert np.array_equal(chain._fft(a), scipy.fft.fft(a))\n"
+    )
+
+
+# Snapshots of three runs: the half path, an off-centre start on the full
+# chain, and a folded band (W >= N).
+_EVOLVE_DIGEST = """
+import hashlib, sys
+from kickedchain import ChainParams, evolve, make_context, site_state
+digest = hashlib.sha256()
+for n, start, beta in ((301, 151, 20.0), (300, 40, 20.0), (64, 20, 100.0)):
+    p = ChainParams(n_sites=n, center=n // 2 + 1, beta=beta, b_q=0.1)
+    for _, state in evolve(site_state(n, start), make_context(p), 40, record_every=5):
+        digest.update(state.amplitudes.tobytes())
+print(digest.hexdigest(), "scipy.fft" in sys.modules)
+"""
+
+
+def test_fallback_import_gives_the_same_bits(tmp_path):
+    # A SciPy whose layout hides the compiled file from the direct lookup:
+    # kickedchain then imports it through scipy.fft, and evolve keeps every
+    # bit.
+    moved = (
+        "import copy, importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "def moved(name, package=None):\n"
+        "    spec = find_spec(name, package)\n"
+        "    if name == 'scipy':\n"
+        "        spec = copy.copy(spec)\n"
+        f"        spec.submodule_search_locations = [{str(tmp_path)!r}]\n"
+        "    return spec\n"
+        "importlib.util.find_spec = moved\n"
+    )
+    direct, direct_scipy_fft = _run_python(_EVOLVE_DIGEST).split()
+    fallback, fallback_scipy_fft = _run_python(moved + _EVOLVE_DIGEST).split()
+    assert (direct_scipy_fft, fallback_scipy_fft) == ("False", "True")
+    assert fallback == direct

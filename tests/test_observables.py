@@ -170,6 +170,17 @@ class TestLocalizationFit:
         with pytest.raises(ValueError):
             fit_localization_length(normalized_state(np.array([0.5, 0.5])), 3)
 
+    def test_refuses_a_rising_envelope(self):
+        # The peak stands 6 decades above every window site, so the decay
+        # test passes, but both tails grow from 1e-7 to 1e-6 towards the
+        # ends: the fitted slope is positive and there is no length.
+        n, s0 = 101, 51
+        d = np.abs(np.arange(1, n + 1) - s0)
+        weights = 1e-7 * 10.0 ** ((d - 2) / (s0 - 1 - EDGE_MARGIN - 2))
+        weights[s0 - 1] = 1.0
+        with pytest.raises(NotLocalizedError, match="envelope does not decay"):
+            fit_localization_length(normalized_state(weights), s0)
+
     @settings(max_examples=400, deadline=None)
     @given(case=localization_cases())
     @example(case=(exponential_state(60, 4, 3.0), 4))
@@ -331,6 +342,17 @@ class TestModeDetection:
         report = detect_accelerator_modes(state, 2, self.P)
         assert report.modes == ()
         assert report.remnant_weight == pytest.approx(1.0)
+
+    def test_side_regions_too_short_to_scan(self):
+        # At pulse 14 the remnant half-width 14*pi/b_q = 659.7 sites leaves
+        # two interior sites on each side of this chain, fewer than the 3 a
+        # scan needs: both sides are skipped, and the peaks piled at the
+        # ends are never fitted.
+        p = ChainParams(n_sites=1325, center=663, beta=100.0, b_q=1.0 / 15.0)
+        state = packet_state(1325, [(663.0, 0.01, 0.8), (2.0, 1.0, 0.1), (1324.0, 1.0, 0.1)])
+        report = detect_accelerator_modes(state, 14, p)
+        assert report.modes == ()
+        assert report.remnant_weight == 1.0
 
     def test_width_property(self):
         mode = GaussianMode(position=0.0, amplitude=1.0, width_parameter=0.04, weight=0.1)

@@ -97,19 +97,37 @@ class TestSuite:
         assert validate_suite().failures == ("concurrence_maximum_grid",)
 
 
-def test_scipy_linalg_stays_off_the_import_path():
-    # Only validate's matrix-exponential check needs scipy.linalg; importing
-    # the package must not pay for it, and the suite must still pass.
-    code = (
-        "import sys, kickedchain\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
-        "assert kickedchain.validate_suite().passed\n"
-    )
+LAZY_SCIPY = ("scipy.fft", "scipy.special", "scipy.linalg")
+
+
+def test_scipy_linalg_stays_off_the_import_path(tmp_path):
+    # The hop loads pocketfft's compiled module alone, and only validate's
+    # oracles, the dense references and rechester_d need scipy.fft,
+    # scipy.special and scipy.linalg.  Importing the package, and running
+    # fig1 through ``python -m kickedchain``, must load none of them; the
+    # suite must still pass.
     src = str(Path(kickedchain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, kickedchain\n"
+        f"loaded = [m for m in {LAZY_SCIPY!r} if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} imported'\n"
+        "assert kickedchain.validate_suite().passed\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+    # -X importtime names every module the process imports on stderr.
+    out = tmp_path / "fig1"
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "kickedchain", "fig1",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (out / "manifest.json").is_file()
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "kickedchain.cli" in imported
+    assert not imported & set(LAZY_SCIPY)
 
 
 class TestReportTypes:
