@@ -63,12 +63,9 @@ a 0.19 s ``import kickedchain`` (``-X importtime``, median of 7, shared
 2-vCPU Xeon), longer than a default run's periods, and the hop uses
 none of it.  The import now takes 0.06 s, 0.034 s of it numpy's.
 ``next_fast_len`` is the module's ``good_size``, which
-``scipy.fft.next_fast_len`` wraps in a cache.  The module is registered
-in ``sys.modules`` under its own name, so a later ``import scipy.fft``
-reuses it (its package then lacks the ``pypocketfft`` attribute, but
-``from scipy.fft._pocketfft import pypocketfft``, as SciPy itself
-imports it, finds it).  Where SciPy's layout hides the file, the plain
-import loads the same kernel: that costs time, never bits.
+``scipy.fft.next_fast_len`` wraps in a cache.  Where SciPy's layout
+hides the file, the plain import loads the same kernel: that costs time,
+never bits.
 
 The cosine modes G[m, j] = a_m * cos(pi/(2N) * (m-1) * (2j-1)) (the
 orthonormal DCT-II) diagonalize the hop; they, and the dense matrices
@@ -84,7 +81,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,14 +97,9 @@ _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 def _load_pocketfft():
     """SciPy's compiled pocketfft module, loaded from its file so that no
-    ``scipy.fft`` package code runs (see the module docstring).  It is
-    registered in ``sys.modules`` under its own name, and an entry already
-    there is reused, so kickedchain and ``scipy.fft`` share one module in
-    either import order.  If SciPy's layout hides the file, the plain
-    import loads the same kernel."""
-    module = sys.modules.get(_POCKETFFT)
-    if module is not None:
-        return module
+    ``scipy.fft`` package code runs (see the module docstring).  If
+    SciPy's layout hides the file, the plain import loads the same
+    kernel."""
     scipy_spec = importlib.util.find_spec("scipy")
     spec = scipy_spec and importlib.machinery.PathFinder.find_spec(_POCKETFFT, [
         os.path.join(d, "fft", "_pocketfft") for d in scipy_spec.submodule_search_locations
@@ -118,7 +109,6 @@ def _load_pocketfft():
 
         return pypocketfft
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_POCKETFFT] = module
     spec.loader.exec_module(module)
     return module
 

@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from .config import EXPERIMENTS, parse_config
-from .errors import CapacityError, ConfigError, KickedChainError, MemoryBudgetError
+from .errors import ConfigError, KickedChainError, MemoryBudgetError
 from .experiments import run_experiment
 
 
@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (CapacityError, MemoryBudgetError) as exc:
+    except MemoryBudgetError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
     except KickedChainError as exc:

@@ -46,7 +46,8 @@ class InsufficientDataError(KickedChainError):
 
 
 class PacketsOutOfRangeError(KickedChainError):
-    """Ideal packet centers would fall too close to the chain boundary."""
+    """Ideal packets would fall too close to the chain boundary, or too
+    narrow between sites to normalize."""
 
 
 class QuadratureConvergenceError(KickedChainError):

@@ -43,7 +43,6 @@ from .observables import (
     ipr,
     max_concurrence,
     mode_decay,
-    packet_centers,
     q_measure,
     spread_variance,
     trackable_pulses,
@@ -146,10 +145,10 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _trajectory(cfg: ExperimentConfig, record_every: int | None = None):
+def _trajectory(cfg: ExperimentConfig):
     ctx = make_context(cfg.chain)
     start = site_state(cfg.chain.n_sites, cfg.chain.center)
-    return evolve(start, ctx, cfg.n_periods, record_every=record_every or cfg.record_every)
+    return evolve(start, ctx, cfg.n_periods, record_every=cfg.record_every)
 
 
 def _distribution(cfg: ExperimentConfig, traj) -> dict:
@@ -196,7 +195,7 @@ def _run_diffusion(cfg: ExperimentConfig) -> dict:
 
 def _run_localization(cfg: ExperimentConfig) -> dict:
     # Only the final state is read, so no other period is recorded.
-    final = _trajectory(cfg, record_every=max(cfg.n_periods, 1)).final
+    final = _trajectory(replace(cfg, record_every=max(cfg.n_periods, 1))).final
     p = cfg.chain
     probs = np.abs(final.amplitudes) ** 2
     rows = list(zip(range(1, probs.size + 1), np.log(np.maximum(probs, LOG_FLOOR)).tolist()))
@@ -254,14 +253,14 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
 
 
 def _run_protocol(cfg: ExperimentConfig) -> dict:
-    # Check the packet geometry 'n_periods' implies before evolving, as accel does.
+    # run_protocol checks the packet geometry 'n_periods' implies before
+    # evolving, as accel does.
     try:
-        packet_centers(cfg.chain, cfg.n_periods)
+        report = run_protocol(cfg.chain, cfg.n_periods)
     except (ValueError, PacketsOutOfRangeError) as exc:
         raise ConfigError(
             f"protocol at n_periods={cfg.n_periods}, b_q={cfg.chain.b_q!r}: {exc}"
         ) from exc
-    report = run_protocol(cfg.chain, cfg.n_periods)
     payload = {"n_pulses": cfg.n_periods, **asdict(report)}
     return {"report.json": _json_text(payload)}
 

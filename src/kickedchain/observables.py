@@ -296,13 +296,9 @@ def _fit_gaussian_peak(probs: np.ndarray, i_peak: int) -> GaussianMode | None:
     hi = i_peak
     while hi + 1 < n and probs[hi + 1] >= half and (hi + 1) - i_peak <= 8:
         hi += 1
-    while hi - lo + 1 < 5:  # quadratic fit needs headroom beyond 3 points
-        if lo > 0:
-            lo -= 1
-        if hi < n - 1:
-            hi += 1
-        if lo == 0 and hi == n - 1:
-            break
+    # A quadratic fit needs headroom beyond 3 points: widen to 5, or to the array.
+    while hi - lo < 4 and (lo > 0 or hi < n - 1):
+        lo, hi = max(lo - 1, 0), min(hi + 1, n - 1)
     window = np.arange(lo, hi + 1)
     vals = probs[window]
     good = vals > 0.0

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import evolve, make_context
-from .errors import EmptyBranchWarning
+from .errors import EmptyBranchWarning, PacketsOutOfRangeError
 from .observables import detect_accelerator_modes, packet_centers, pair_clearance
 from .params import ChainParams
 from .state import SpinState, site_state
 
 # Branch probabilities below this cannot be renormalized meaningfully.
 EMPTY_BRANCH_EPS = 1e-12
+# A packet norm below this has a subnormal square.
+_MIN_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,15 @@ def _packet(p: ChainParams, center: float) -> np.ndarray:
     # The normalized accelerator-mode amplitude profile e^{-b_q (s - center)^2}.
     sites = np.arange(1, p.n_sites + 1, dtype=np.float64)
     g = np.exp(-p.b_q * (sites - center) ** 2)
-    return g / np.linalg.norm(g)
+    norm = np.linalg.norm(g)
+    # At large b_q a centre between sites leaves the squares below the normal
+    # float range, so the norm is 0 or inexact.
+    if norm < _MIN_NORM:
+        raise PacketsOutOfRangeError(
+            f"the reference packet e^(-b_q (s - {center:.2f})^2) cannot be normalized: "
+            "its squares are below the float range on every site"
+        )
+    return g / norm
 
 
 def measurement_window(p: ChainParams, state: SpinState, pulse_index: int) -> tuple[int, int]:
@@ -106,9 +116,11 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
 
         F = (|<g_left|post>| + |<g_right|post>|)^2 / 2,
 
-    valid because the two Gaussians have negligible overlap.
+    valid because the two Gaussians have negligible overlap.  A pair that
+    cannot be normalized raises PacketsOutOfRangeError before evolving.
     """
     s_left, s_right = packet_centers(p, n_pulses)
+    g_left, g_right = _packet(p, s_left), _packet(p, s_right)
     traj = evolve(site_state(p.n_sites, p.center), make_context(p), n_pulses,
                   record_every=n_pulses)
     final = traj.final
@@ -122,8 +134,6 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
             right_weight=0.0,
         )
     post = absent.post_state.amplitudes
-    g_left = _packet(p, s_left)
-    g_right = _packet(p, s_right)
     c_left = abs(np.vdot(g_left, post))
     c_right = abs(np.vdot(g_right, post))
     fidelity = 0.5 * (c_left + c_right) ** 2

@@ -45,6 +45,20 @@ def test_protocol_preconditions_are_config_errors(override, needle, tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
+def test_protocol_packet_below_the_float_range_is_a_config_error(tmp_path, capsys):
+    # b_q = 4*pi*238: at pulse 238 both packet centres fall half-way between
+    # sites, and the reference Gaussians underflow on every site.
+    code = main(["protocol", "--set", "b_q=2990.796206217483", "--set", "n_periods=238",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert _one_line_error(capsys) == (
+        "config error: protocol at n_periods=238, b_q=2990.796206217483: the reference "
+        "packet e^(-b_q (s - 700.50)^2) cannot be normalized: its squares are below the "
+        "float range on every site\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "override,needle", [("beta=1e308", "2*beta"), ("b_q=1e308", "(b_q/2)*10**2")]
 )

@@ -514,6 +514,17 @@ def test_sharp_peak_fit_raises_no_warning():
         assert observables._fit_gaussian_peak(probs, 20) is None
 
 
+def test_fit_widens_to_a_chain_shorter_than_five_sites():
+    # The FWHM window holds one site; widening stops at the 4-site array's
+    # ends, and the 4 points of an exact Gaussian (B = 1) give it back.
+    x = np.arange(4, dtype=np.float64)
+    probs = np.exp(-2.0 * (x - 1.3) ** 2)
+    mode = observables._fit_gaussian_peak(probs, 1)
+    assert mode.position == pytest.approx(2.3, abs=1e-9)
+    assert mode.width_parameter == pytest.approx(1.0, rel=1e-9)
+    assert mode.weight == pytest.approx(probs.sum(), rel=1e-15)
+
+
 class TestProminence:
     # A Gaussian peak (B = 0.05, peak at site 101) on a flat pedestal of q
     # times its height.  Over the fitted span the peak stands 134, 5.95 and

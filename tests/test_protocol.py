@@ -142,3 +142,11 @@ class TestRunProtocol:
         small = ChainParams(n_sites=201, center=101, beta=100.0, b_q=1.0 / 15.0)
         with pytest.raises(PacketsOutOfRangeError):
             run_protocol(small, 4)
+
+    @pytest.mark.parametrize("n_pulses", [119, 238])
+    def test_refuses_a_reference_packet_it_cannot_normalize(self, n_pulses):
+        # b_q = 4*pi*j puts both centres half-way between sites at pulse j,
+        # where every e^{-2 b_q d^2} underflows: from b_q ~ 1490 the norm is 0.
+        p = ChainParams(n_sites=1401, center=701, beta=100.0, b_q=4.0 * math.pi * n_pulses)
+        with pytest.raises(PacketsOutOfRangeError, match="cannot be normalized"):
+            run_protocol(p, n_pulses)
