@@ -334,8 +334,9 @@ def evolve(
     """Drive ``initial`` for ``n_periods`` periods, recording snapshots.
 
     Snapshots are stored at period 0, at every multiple of ``record_every``,
-    and at the final period, at most MAX_SNAPSHOT_VALUES amplitudes in all
-    (MemoryBudgetError otherwise).  Each period is one banded ring-kernel
+    and at the final period.  Period 0 is ``initial`` itself, held by
+    reference, so only the recorded snapshots after it count against the
+    budget of MAX_SNAPSHOT_VALUES amplitudes (MemoryBudgetError otherwise).  Each period is one banded ring-kernel
     hop and one kick on the raw amplitude array; only recorded snapshots
     become SpinState values.
 
@@ -367,7 +368,7 @@ def evolve(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    n_snapshots = 1 + n_periods // record_every + (1 if n_periods % record_every else 0)
+    n_snapshots = -(-n_periods // record_every)
     if n_snapshots * p.n_sites > MAX_SNAPSHOT_VALUES:
         raise MemoryBudgetError(
             f"{n_snapshots} snapshots x {p.n_sites} sites exceeds the budget of "

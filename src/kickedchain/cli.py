@@ -98,10 +98,12 @@ def main(argv: list[str] | None = None) -> int:
             report = json.load(fh)
         for check in report["checks"]:
             status = "pass" if check["passed"] else "FAIL"
+            # The file stores a raising check's infinite deviation as null.
+            deviation = float("inf") if check["deviation"] is None else check["deviation"]
             print(
-                f"  {status}  {check['name']}: deviation {check['deviation']:.3e}"
+                f"  {status}  {check['name']}: deviation {deviation:.3e}"
                 f" (tolerance {check['tolerance']:.0e})"
-                f"  margin {check['deviation'] / check['tolerance']:.2e}"
+                f"  margin {deviation / check['tolerance']:.2e}"
             )
         if not report["passed"]:
             return 3

@@ -86,7 +86,7 @@ class ExperimentConfig:
         if self.record_every < 1:
             raise ConfigError(f"key 'record_every': must be >= 1, got {shown(self.record_every)}")
         if self.n_sites > MAX_SNAPSHOT_VALUES:
-            # The period-0 snapshot alone would exceed the evolution's budget.
+            # One recorded snapshot would exceed the evolution's budget.
             raise ConfigError(
                 f"chain geometry: n_sites={shown(self.n_sites)} exceeds the budget of "
                 f"{MAX_SNAPSHOT_VALUES} stored amplitudes"

@@ -223,12 +223,12 @@ def _run_entanglement(cfg: ExperimentConfig) -> dict:
 
 def _run_accel(cfg: ExperimentConfig) -> dict:
     last = trackable_pulses(cfg.chain)
-    # Recorded pulses in [first, last]: the multiples of record_every (a lazy
-    # range, so n_periods may be huge) and the final period.
     n, every, first = cfg.n_periods, cfg.record_every, MODE_DECAY_FIRST_PULSE
-    multiples = range(max(every, first), min(n, last) + 1, every)
-    final = [n] if first <= n <= last and n % every else []
-    n_fit = len(multiples) + len(final)
+    # Pulses past the last trackable recorded one are never read: stop there.
+    stop = n if n <= last else last - last % every
+    # Evolving to stop records the multiples of record_every below it, then
+    # stop itself; a lazy range counts those from first on, so n may be huge.
+    n_fit = len(range(-(-first // every) * every, stop, every)) + (first <= stop)
     if n_fit < MODE_DECAY_MIN_PULSES:
         raise ConfigError(
             f"accel needs at least {MODE_DECAY_MIN_PULSES} recorded pulses in [{first}, "
@@ -241,14 +241,10 @@ def _run_accel(cfg: ExperimentConfig) -> dict:
             f"accel needs alpha = beta*b_q/(2*pi) in the accelerator-mode window "
             f"[{ACCEL_ALPHA_MIN:.2f}, {ACCEL_ALPHA_MAX:.2f}]; got alpha = {derived.alpha:.4g}"
         )
-    # Pulses past the last trackable recorded one are never read: stop there.
-    stop = n if n <= last else last - last % every
     reports = _mode_reports(cfg, _trajectory(replace(cfg, n_periods=stop)))
-    pulse_range = [multiples[0], (final or multiples)[-1]]
-    decay = {**asdict(mode_decay(reports)), "pulse_range": pulse_range}
     return {
         "modes.json": _json_text({"reports": [asdict(r) for r in reports]}),
-        "decay.json": _json_text(decay),
+        "decay.json": _json_text(asdict(mode_decay(reports))),
     }
 
 

@@ -404,6 +404,7 @@ class ModeDecayFit:
     rate: float
     oscillatory: bool
     residual: float
+    pulse_range: tuple[int, int]
 
 
 def mode_decay(reports: Iterable[ModeReport]) -> ModeDecayFit:
@@ -411,17 +412,16 @@ def mode_decay(reports: Iterable[ModeReport]) -> ModeDecayFit:
 
     Tracks the two heaviest fitted packets per pulse (the counter-propagating
     pair, immune to transient fringe detections), with weight(j) ~ e^{-rate*j},
-    over the reports from pulse MODE_DECAY_FIRST_PULSE on.
-    ``oscillatory`` is set when the residuals of the log-linear fit beat
-    around the trend instead of scattering (their signs alternate and their
-    size is well above numerical noise).
+    over the reports from pulse MODE_DECAY_FIRST_PULSE on, which it reads
+    once and in pulse order; ``pulse_range`` is the first and last of them,
+    with or without modes.  ``oscillatory`` is set when the residuals of the
+    log-linear fit beat around the trend instead of scattering (their signs
+    alternate and their size is well above numerical noise).
     """
+    window = [r for r in reports if r.pulse >= MODE_DECAY_FIRST_PULSE]
     # A report without modes sums to 0, so it drops out with the zero weights.
-    pts = [
-        (r.pulse, w) for r in reports
-        if r.pulse >= MODE_DECAY_FIRST_PULSE
-        and (w := sum(sorted((m.weight for m in r.modes), reverse=True)[:2])) > 0.0
-    ]
+    pts = [(r.pulse, w) for r in window
+           if (w := sum(sorted((m.weight for m in r.modes), reverse=True)[:2])) > 0.0]
     if len(pts) < MODE_DECAY_MIN_PULSES:
         raise InsufficientDataError(f"mode-decay fit needs >= {MODE_DECAY_MIN_PULSES} pulses "
                                     f"with detected modes, found {len(pts)}")
@@ -441,4 +441,5 @@ def mode_decay(reports: Iterable[ModeReport]) -> ModeDecayFit:
         if signs.size > 1 else 0.0
     )
     oscillatory = bool(osc_rms >= OSC_MIN_RMS and flip_fraction >= OSC_MIN_FLIPS)
-    return ModeDecayFit(rate=-float(slope), oscillatory=oscillatory, residual=rms)
+    return ModeDecayFit(rate=-float(slope), oscillatory=oscillatory, residual=rms,
+                        pulse_range=(window[0].pulse, window[-1].pulse))

@@ -12,7 +12,7 @@ import tempfile
 
 import pytest
 
-from kickedchain import cli, validation
+from kickedchain import chain, cli, config, validation
 from kickedchain.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -89,7 +89,7 @@ def test_removed_keys_exit_one(item, tmp_path, capsys):
 
 
 def test_snapshot_budget_exits_two(tmp_path, capsys):
-    # 400001 snapshots x 1401 sites passes the 2e7-amplitude budget:
+    # 400000 recorded snapshots x 1401 sites pass the 2e7-amplitude budget:
     # refused before evolving.
     code = main(["evolve", "--set", "n_periods=400000", "--out", str(tmp_path / "run")])
     assert code == 2
@@ -100,7 +100,7 @@ def test_snapshot_budget_exits_two(tmp_path, capsys):
 
 
 def test_localization_records_only_the_final_state(tmp_path, capsys):
-    # Recording all 5001 snapshots x 4001 sites would pass the 2e7-amplitude
+    # Recording all 5000 snapshots x 4001 sites would pass the 2e7-amplitude
     # budget; localization reads only the final state, so it runs.
     code = main([
         "localization", "--set", "n_sites=4001", "--set", "center=2001", "--set", "beta=20",
@@ -110,6 +110,34 @@ def test_localization_records_only_the_final_state(tmp_path, capsys):
     fit = json.loads((tmp_path / "run" / "fit.json").read_text())
     assert fit["localized"] and fit["predicted_length"] == 100.0
     assert len((tmp_path / "run" / "profile.csv").read_text().splitlines()) == 4002
+
+
+def test_snapshot_budget_counts_only_the_recorded_snapshots(monkeypatch, tmp_path, capsys):
+    # A budget of 3000 amplitudes holds one recorded 2001-site snapshot, not
+    # two; period 0 is the start state itself and costs nothing.  So the
+    # runs that record one snapshot run, config refuses exactly the chains
+    # one snapshot would overflow, and exit 2's remedy always applies.
+    monkeypatch.setattr(chain, "MAX_SNAPSHOT_VALUES", 3000)
+    monkeypatch.setattr(config, "MAX_SNAPSHOT_VALUES", 3000)
+    geometry = ["--set", "n_sites=2001", "--set", "center=1001", "--set", "n_periods=2"]
+    for experiment in ("localization", "protocol"):
+        code = main([experiment, *geometry, "--out", str(tmp_path / experiment)])
+        assert code == 0, capsys.readouterr().err
+    code = main(["evolve", *geometry, "--out", str(tmp_path / "two")])
+    assert code == 2
+    assert _one_line_error(capsys) == (
+        "capacity error: 2 snapshots x 2001 sites exceeds the budget of 3000 stored "
+        "amplitudes; increase record_every\n"
+    )
+    code = main(["evolve", *geometry, "--set", "record_every=2", "--out", str(tmp_path / "one")])
+    assert code == 0, capsys.readouterr().err
+    code = main(["evolve", "--set", "n_sites=3001", "--set", "center=1501",
+                 "--out", str(tmp_path / "wide")])
+    assert code == 1
+    assert _one_line_error(capsys) == (
+        "config error: chain geometry: n_sites=3001 exceeds the budget of 3000 stored "
+        "amplitudes\n"
+    )
 
 
 def test_localization_past_two_to_the_53_periods_is_a_config_error(tmp_path, capsys):
@@ -339,11 +367,18 @@ def test_failed_check_exits_3(raises, monkeypatch, tmp_path, capsys):
     assert [s for s in statuses if s[0] != "pass"] == [["FAIL", f"{name}:"]]
     assert len(statuses) == 9
     assert "Traceback" not in out + err
+    # Strict JSON: no NaN or Infinity constant anywhere in the report.
+    text = (tmp_path / "run" / "validation.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in validation.json"))
     if raises:
         assert err == (f"warning: RuntimeWarning: check {name} raised ValueError: "
                        "state is not normalized\n")
+        assert report["checks"][3]["deviation"] is None
+        assert f"  FAIL  {name}: deviation inf (tolerance" in out
+        assert out.count("margin inf") == 1
     else:
         assert err == ""
+        assert report["checks"][3]["deviation"] == 2.0 * tolerance
 
 
 def test_accel_pulse_check_stops_at_trackable_pulses(tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestErrors:
             parse_config("n_sites = 100\ncenter = 500\n")
 
     def test_chain_past_the_snapshot_budget(self):
-        # The period-0 snapshot alone would exceed the 2e7-amplitude budget.
+        # One recorded snapshot would exceed the 2e7-amplitude budget.
         assert parse_config("n_sites = 20000000\ncenter = 1\n").chain.n_sites == 20_000_000
         with pytest.raises(ConfigError, match="chain geometry: n_sites=20000001 exceeds"):
             parse_config("n_sites = 20000001\ncenter = 1\n")

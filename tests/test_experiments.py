@@ -3,6 +3,7 @@ import json
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from kickedchain import (
     ConfigError,
     apply_overrides,
     derived_params,
+    evolve,
+    make_context,
     parse_config,
     rechester_d,
     run_experiment,
+    site_state,
     trackable_pulses,
 )
+from kickedchain import experiments, observables
 from kickedchain.experiments import WRITE_SLICE, _SiteGrid, _atomic_write, _table
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -309,6 +314,37 @@ class TestAccelAndFig1:
         cfg = cfg_for(tmp_path, "accel", *SMALL)
         with pytest.raises(ConfigError, match="n_periods"):
             run_experiment(cfg)
+
+
+# The README's accel geometry: 21 trackable pulses.
+README_ACCEL = ["n_sites=2701", "center=1351", "beta=66.66666666666667", "b_q=0.1"]
+TINY_CTX = make_context(ChainParams(n_sites=3, center=2, beta=1.0, b_q=0.1))
+
+
+@pytest.mark.parametrize("first", [1, 2, 3, 5])
+@settings(max_examples=15, deadline=None)
+@given(n_periods=st.integers(0, 45), every=st.integers(1, 12))
+@example(n_periods=20, every=2)
+@example(n_periods=40, every=4)
+@example(n_periods=19, every=4)
+def test_accel_reads_the_recorded_pulses_it_can_track(first, n_periods, every):
+    # Whatever the decay fit's first pulse, accel's pre-check counts and
+    # decay.json's pulse_range spans the periods evolve records in
+    # [first, trackable_pulses]; the list is read off a 3-site evolve.
+    cfg = apply_overrides(parse_config(""), [
+        "experiment=accel", *README_ACCEL, f"n_periods={n_periods}", f"record_every={every}",
+    ])
+    last = trackable_pulses(cfg.chain)
+    recorded = evolve(site_state(3, 2), TINY_CTX, n_periods, record_every=every).periods
+    read = [j for j in recorded if first <= j <= last]
+    with mock.patch.object(experiments, "MODE_DECAY_FIRST_PULSE", first), \
+            mock.patch.object(observables, "MODE_DECAY_FIRST_PULSE", first):
+        if len(read) < observables.MODE_DECAY_MIN_PULSES:
+            with pytest.raises(ConfigError, match=rf"in \[{first}, {last}\] .*; got {len(read)} "):
+                experiments._run_accel(cfg)
+            return
+        decay = json.loads(experiments._run_accel(cfg)["decay.json"])
+    assert decay["pulse_range"] == [read[0], read[-1]]
 
 
 class TestProtocolExperiment:

@@ -24,6 +24,10 @@ record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("label", sorted(CORPUS))
 def test_recipe_reproduces_corpus(label, tmp_path):
     want = CORPUS[label]
@@ -32,6 +36,11 @@ def test_recipe_reproduces_corpus(label, tmp_path):
         assert got["checks"] == want["checks"]
     else:
         assert got["files"] == want["files"]
+    # Every JSON file the run wrote, manifest.json included, is strict JSON.
+    written = sorted((tmp_path / label).glob("*.json"))
+    assert tmp_path / label / "manifest.json" in written
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 def _deviation(overrides, out_dir, ref):

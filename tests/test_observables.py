@@ -585,6 +585,16 @@ class TestModeDecay:
         fit = mode_decay(synthetic_reports(pulses, weights))
         assert fit.rate == pytest.approx(1.0 / 24.0, rel=1e-9)
 
+    def test_reports_the_pulses_it_read_from_one_pass(self):
+        # A generator can be read once.  The range runs from the first
+        # report in the window to the last, a report without modes included.
+        pulses = list(range(1, 12))
+        reports = synthetic_reports(pulses, [math.exp(-j / 24.0) for j in pulses])
+        reports.append(ModeReport(pulse=12, modes=(), remnant_weight=1.0))
+        fit = mode_decay(r for r in reports)
+        assert fit.pulse_range == (2, 12)
+        assert fit.rate == pytest.approx(1.0 / 24.0, rel=1e-9)
+
     def test_skips_empty_reports(self):
         pulses = list(range(2, 21))
         reports = synthetic_reports(pulses, [math.exp(-j / 24.0) for j in pulses])
