@@ -335,10 +335,10 @@ def evolve(
 
     Snapshots are stored at period 0, at every multiple of ``record_every``,
     and at the final period.  Period 0 is ``initial`` itself, held by
-    reference, so only the recorded snapshots after it count against the
-    budget of MAX_SNAPSHOT_VALUES amplitudes (MemoryBudgetError otherwise).  Each period is one banded ring-kernel
-    hop and one kick on the raw amplitude array; only recorded snapshots
-    become SpinState values.
+    reference, so only the snapshots recorded after it count against the
+    budget of MAX_SNAPSHOT_VALUES amplitudes (MemoryBudgetError otherwise).
+    Each period is one banded ring-kernel hop and one kick on the raw
+    amplitude array; only recorded snapshots become SpinState values.
 
     The hop moves amplitude at most P sites per period, so after j periods
     the state vanishes outside its initial support grown by P*j sites on
