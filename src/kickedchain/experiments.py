@@ -9,10 +9,13 @@ file.  Data bytes are a pure function of (config, package version):
 tables are rendered with one locale-independent printf code per column,
 JSON payloads are built from the dataclasses that own their fields and
 written with sorted keys, and files are written atomically (temp file
-then rename).  A distribution table, a (period, site) product
-grid, is rendered one snapshot at a time from a text template of every
-site, built once per table; it yields the same bytes as rendering it
-row by row.  A snapshot of an odd chain that equals its reverse bit for
+then rename).  A runner returns each file as one text or as an iterable
+of text chunks, which the write encodes, hashes and writes as they
+arrive.  A CSV distribution table, a (period, site) product grid, is
+such an iterable: each snapshot's chunk is rendered from a text template
+of every site, built once per table, while the file is written, so the
+table is never held whole; its bytes are those of rendering it row by
+row.  A snapshot of an odd chain that equals its reverse bit for
 bit (every snapshot of a mirror-symmetric run) formats only its sites
 center..N and fills both halves from those strings: equal bits give
 equal text, so each distinct value is formatted once.
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -56,8 +60,8 @@ from .validation import validate_suite
 # Probabilities below this floor are clamped before taking the log so the
 # profile column stays finite for gnuplot-style tooling.
 LOG_FLOOR = 1e-320
-# Characters encoded, hashed and written at a time: small enough to stay in
-# cache, and no output ever needs a whole encoded copy of itself.
+# Characters of a chunk encoded, hashed and written at a time: small enough
+# to stay in cache, so no chunk ever needs a whole encoded copy of itself.
 WRITE_SLICE = 1 << 18
 
 
@@ -74,71 +78,55 @@ class RunManifest:
     files: dict
 
 
-class _SiteGrid:
-    """The (period, site, value) rows of a snapshots x sites float64 array.
-
-    ``len()`` is the number of rows and iterating yields them in period-major
-    order, so a grid stands wherever ``_table`` takes a list of row tuples.
-    """
-
-    def __init__(self, periods: tuple[int, ...], values: np.ndarray):
-        self.periods = periods
-        self.values = values
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __iter__(self):
-        sites = range(1, self.values.shape[1] + 1)
-        for period, row in zip(self.periods, self.values):
-            for site, value in zip(sites, row.tolist()):
-                yield period, site, value
-
-    def csv_text(self, header: str) -> str:
-        """The ``header`` line, then the rows as ``%d,%d,%.12g`` lines.
-
-        The site template is built once; each snapshot puts its period in
-        place of ``@`` and formats its values with one ``%``.  A mirror
-        row, one of an odd chain whose values equal their reverse bit for
-        bit (compared as uint64, so 0.0 never pairs with -0.0 and NaN
-        payloads never merge), formats only sites center..N with
-        ``%.12g`` and fills both halves from those strings through a
-        ``%s`` template; equal bits give equal strings, so the bytes are
-        those of the row-by-row rendering.
-        """
-        n_sites = self.values.shape[1]
-        template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
-        mirrored = [False] * len(self.periods)
-        if n_sites % 2:
-            mid = n_sites // 2
-            bits = self.values.view(np.uint64)
-            mirrored = (bits == bits[:, ::-1]).all(axis=1).tolist()
-            mirror_template = template.replace("%.12g", "%s")
-            half_format = ",".join(["%.12g"] * (n_sites - mid))
-        rows = []
-        for period, row, mirror in zip(self.periods, self.values, mirrored):
-            if mirror:
-                half = (half_format % tuple(row[mid:].tolist())).split(",")
-                text = mirror_template.replace("@", str(period)) % tuple(half[:0:-1] + half)
-            else:
-                text = template.replace("@", str(period)) % tuple(row.tolist())
-            rows.append(text)
-        return "".join([header + "\n", *rows])
-
-
-def _table(header: tuple[str, ...], rows: list[tuple] | _SiteGrid, fmt: str) -> str:
+def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
     """Render a column table as CSV text or as a JSON columns/rows object.
 
     CSV writes each column with one code, %d for integers and %.12g for
-    floats, chosen from the first row.  A ``_SiteGrid`` is rendered one
-    snapshot at a time from its site template, with the same bytes.
+    floats, chosen from the first row.
     """
     if fmt == "csv":
-        if isinstance(rows, _SiteGrid):
-            return rows.csv_text(",".join(header))
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     return _json_text({"columns": list(header), "rows": [list(row) for row in rows]})
+
+
+def _csv_grid(
+    header: tuple[str, ...], n_sites: int, snapshots: Iterable[tuple[int, np.ndarray]]
+) -> Iterator[str]:
+    """Yield the ``header`` line, then the (period, site, value) rows of
+    each ``(period, values)`` snapshot as ``%d,%d,%.12g`` lines, one
+    snapshot per chunk.
+
+    The site template is built once; each snapshot puts its period in
+    place of ``@`` and formats its values with one ``%``.  A mirror
+    snapshot, one of an odd chain whose values equal their reverse bit
+    for bit (compared as uint64, so 0.0 never pairs with -0.0 and NaN
+    payloads never merge), formats only sites center..N with ``%.12g``
+    and fills both halves from those strings through a ``%s`` template;
+    equal bits give equal strings, so the bytes are those of the
+    row-by-row rendering.
+    """
+    yield ",".join(header) + "\n"
+    template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
+    mid = n_sites // 2
+    mirror_template = template.replace("%.12g", "%s")
+    half_format = ",".join(["%.12g"] * (n_sites - mid))
+    for period, values in snapshots:
+        bits = values.view(np.uint64)
+        if n_sites % 2 and (bits == bits[::-1]).all():
+            half = (half_format % tuple(values[mid:].tolist())).split(",")
+            yield mirror_template.replace("@", str(period)) % tuple(half[:0:-1] + half)
+        else:
+            yield template.replace("@", str(period)) % tuple(values.tolist())
+
+
+def _grid_rows(snapshots: Iterable[tuple[int, np.ndarray]]) -> list[tuple[int, int, float]]:
+    """The (period, site, value) rows of ``(period, values)`` snapshots."""
+    return [
+        (period, site, value)
+        for period, values in snapshots
+        for site, value in enumerate(values.tolist(), 1)
+    ]
 
 
 def _json_text(payload) -> str:
@@ -152,10 +140,12 @@ def _trajectory(cfg: ExperimentConfig):
 
 
 def _distribution(cfg: ExperimentConfig, traj) -> dict:
-    probs = np.abs(np.stack([state.amplitudes for state in traj.states])) ** 2
-    grid = _SiteGrid(traj.periods, probs)
+    # |a|² is read one snapshot at a time, as the table is written.
     header = ("period", "site", "probability")
-    return {f"distribution.{cfg.format}": _table(header, grid, cfg.format)}
+    snapshots = ((period, np.abs(state.amplitudes) ** 2) for period, state in traj)
+    if cfg.format == "csv":
+        return {"distribution.csv": _csv_grid(header, cfg.chain.n_sites, snapshots)}
+    return {"distribution.json": _table(header, _grid_rows(snapshots), "json")}
 
 
 def _run_evolve(cfg: ExperimentConfig) -> dict:
@@ -277,24 +267,30 @@ _RUNNERS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> str:
-    """Write ``text`` as UTF-8 through a temp file and a rename; return the
-    SHA-256 of the bytes written.
+def _atomic_write(path: str, chunks: str | Iterable[str]) -> str:
+    """Write ``chunks``, one text or an iterable of text chunks, as UTF-8
+    through a temp file and a rename; return the SHA-256 of the bytes
+    written.
 
-    The text is encoded a slice at a time, and each slice is both hashed
-    and written, so no encoded copy of a whole table is ever held.
+    Each chunk is encoded a slice at a time as it arrives, and each slice
+    is both hashed and written, so neither a whole table's text nor an
+    encoded copy of it is ever held.
     """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     tmp = path + ".tmp"
     sha = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for start in range(0, len(text), WRITE_SLICE):
-                data = text[start:start + WRITE_SLICE].encode("utf-8")
-                sha.update(data)
-                fh.write(data)
+            for chunk in chunks:
+                for start in range(0, len(chunk), WRITE_SLICE):
+                    data = chunk[start:start + WRITE_SLICE].encode("utf-8")
+                    sha.update(data)
+                    fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        # A failed write or rename, or a Ctrl-C, leaves no temp file behind.
+        # A failed render, write or rename, or a Ctrl-C, leaves no temp
+        # file behind and the target as it was.
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise

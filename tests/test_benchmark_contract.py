@@ -54,11 +54,11 @@ def test_traced_pass_counts_every_layer_and_uninstall_restores(tmp_path):
                 "protocol.measurement_window_s", "experiments.render_s",
                 "experiments.write_s", "config.parse_s"):
         assert metrics[key] > 0, key
-    # Every table row is rendered by _table and counted once: fig1's
-    # distribution plus localization's profile (protocol writes only JSON).
-    tables = (tmp_path / "fig1" / "distribution.csv", tmp_path / "localization" / "profile.csv")
-    data_lines = sum(len(path.read_text().splitlines()) - 1 for path in tables)
-    assert metrics["experiments.rows"] == data_lines
+    # Every row _table renders is counted once: localization's profile.
+    # fig1's CSV distribution is streamed into _atomic_write, not rendered
+    # by _table, and protocol writes only JSON.
+    profile = tmp_path / "localization" / "profile.csv"
+    assert metrics["experiments.rows"] == len(profile.read_text().splitlines()) - 1
 
     after = _namespaces()
     for name, namespace in before.items():

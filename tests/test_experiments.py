@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from kickedchain import (
     trackable_pulses,
 )
 from kickedchain import experiments, observables
-from kickedchain.experiments import WRITE_SLICE, _SiteGrid, _atomic_write, _table
+from kickedchain.experiments import WRITE_SLICE, _atomic_write, _csv_grid, _grid_rows, _table
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -51,6 +52,13 @@ def read_csv(path):
     return header, rows
 
 
+# Two write slices and a character: non-ASCII characters of two, three and
+# four UTF-8 bytes on both sides of the slice boundaries.
+SLICED_TEXT = "".join(
+    ["a" * (WRITE_SLICE - 1), "\u00e9\u20ac", "b" * (WRITE_SLICE - 2), "\U0001f600", "c"]
+)
+
+
 class TestEvolve:
     def test_distribution_schema(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL)
@@ -62,6 +70,25 @@ class TestEvolve:
             block = rows[rows[:, 0] == period]
             assert block[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
         assert set(manifest.files) == {"distribution.csv"}
+
+    def test_distribution_is_streamed_from_the_snapshots(self, tmp_path):
+        # The default chain, 200 periods, every one recorded: the trajectory
+        # holds 201 snapshots of 1401 complex128 amplitudes, 4.5 MB, and its
+        # CSV table is 7 MB of text.  Streamed, the peak above the snapshots
+        # is one snapshot's working set, the hop's buffers and the manifest:
+        # its |a|² (11 KB), the site templates (about 21 KB each), the
+        # snapshot's text (about 36 KB) and its tuple of floats (45 KB), and
+        # at most one encoded slice (at most 256 KB).  That sums to well
+        # under 1 MB, while a whole table's text or encoding alone is 7 MB.
+        cfg = cfg_for(tmp_path, "evolve", "n_periods=200", "record_every=1")
+        trajectory_bytes = (cfg.n_periods + 1) * cfg.chain.n_sites * 16
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - trajectory_bytes <= 1 << 20, peak
 
     def test_json_format(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL, "format=json")
@@ -110,13 +137,55 @@ class TestManifest:
 
     def test_sliced_write_returns_the_digest_of_the_file(self, tmp_path):
         # Non-ASCII characters on both sides of each slice boundary.
-        text = "".join(["a" * (WRITE_SLICE - 1), "\u00e9\u20ac", "b" * (WRITE_SLICE - 2), "\U0001f600", "c"])
         path = tmp_path / "out.txt"
-        digest = _atomic_write(str(path), text)
-        assert path.read_bytes() == text.encode("utf-8")
-        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digest = _atomic_write(str(path), SLICED_TEXT)
+        assert path.read_bytes() == SLICED_TEXT.encode("utf-8")
+        assert digest == hashlib.sha256(SLICED_TEXT.encode("utf-8")).hexdigest()
+        # The same text in chunks: cut on each side of the non-ASCII
+        # characters, and one character in, so the second chunk's slice
+        # boundary falls just past them.
+        size = len(SLICED_TEXT)
+        for cuts in ([WRITE_SLICE - 1], [WRITE_SLICE], [1], [2 * WRITE_SLICE - 1, 2 * WRITE_SLICE],
+                     [0, 0, 1, WRITE_SLICE + 1, size, size]):
+            bounds = [0, *cuts, size]
+            chunks = (SLICED_TEXT[a:b] for a, b in zip(bounds, bounds[1:]))
+            assert _atomic_write(str(path), chunks) == digest, cuts
+            assert path.read_bytes() == SLICED_TEXT.encode("utf-8")
         assert _atomic_write(str(path), "") == hashlib.sha256(b"").hexdigest()
         assert path.read_bytes() == b""
+        assert _atomic_write(str(path), iter(())) == hashlib.sha256(b"").hexdigest()
+
+    @settings(max_examples=30, deadline=None)
+    @given(cuts=st.lists(st.integers(0, len(SLICED_TEXT)), max_size=8))
+    @example([WRITE_SLICE - 1, WRITE_SLICE, WRITE_SLICE + 1])
+    @example([2 * WRITE_SLICE - 1, 2 * WRITE_SLICE])
+    def test_chunked_write_is_the_whole_text(self, tmp_path_factory, cuts):
+        # Wherever the text is cut into chunks, the file and its digest
+        # are those of writing it whole.
+        path = tmp_path_factory.mktemp("chunks") / "out.txt"
+        bounds = [0, *sorted(cuts), len(SLICED_TEXT)]
+        chunks = (SLICED_TEXT[a:b] for a, b in zip(bounds, bounds[1:]))
+        digest = _atomic_write(str(path), chunks)
+        assert path.read_bytes() == SLICED_TEXT.encode("utf-8")
+        assert digest == hashlib.sha256(SLICED_TEXT.encode("utf-8")).hexdigest()
+
+    def test_a_render_that_raises_leaves_no_temp_file_and_the_old_target(self, tmp_path):
+        # Rendering runs inside the write, so a chunk iterator that raises
+        # after part of the file is written must leave nothing behind.
+        def chunks():
+            yield SLICED_TEXT
+            yield "partial row"
+            raise RuntimeError("render failed")
+
+        path = tmp_path / "out.txt"
+        for old in (None, b"old bytes\n"):
+            if old is not None:
+                path.write_bytes(old)
+            with pytest.raises(RuntimeError, match="render failed"):
+                _atomic_write(str(path), chunks())
+            assert os.listdir(tmp_path) == ([] if old is None else ["out.txt"])
+            if old is not None:
+                assert path.read_bytes() == old
 
     def test_no_temp_files_left(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL)
@@ -146,9 +215,11 @@ SPECIAL_VALUES = (0.0, 5e-324, 1e-320, 1e-5, 0.1, 1.0)
 
 
 # How a row is shaped before rendering: as drawn, equal to its reverse bit
-# for bit, mirrored but one site 1 ulp off, or mirrored with one pair of
-# sites 0.0 and -0.0.
-ROW_KINDS = ("drawn", "mirror", "ulp", "signed_zero")
+# for bit, mirrored but one site 1 ulp off, mirrored with one pair of
+# sites 0.0 and -0.0, or mirrored with one pair of sites NaNs of two
+# payloads.
+ROW_KINDS = ("drawn", "mirror", "ulp", "signed_zero", "nan_payload")
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
 
 
 def _grid_values(n_snapshots, n_sites, seed, specials, kinds=("drawn",)):
@@ -169,6 +240,8 @@ def _grid_values(n_snapshots, n_sites, seed, specials, kinds=("drawn",)):
             row[site] = np.nextafter(row[site], np.inf)
         elif kind == "signed_zero":
             row[site], row[-1 - site] = 0.0, -0.0
+        elif kind == "nan_payload":
+            row[site], row[-1 - site] = NAN_PAYLOADS
     return values
 
 
@@ -192,6 +265,7 @@ def _grid_values(n_snapshots, n_sites, seed, specials, kinds=("drawn",)):
 @example(1401, 2, 1, 1, 5, [], ["signed_zero", "ulp"])
 @example(100, 4, 2, 1, 6, list(enumerate(SPECIAL_VALUES)), ["mirror", "signed_zero"])
 @example(10, 2, 0, 1, 7, [], ["mirror", "ulp"])
+@example(1401, 3, 2, 1, 8, [], ["nan_payload", "mirror"])
 def test_site_grid_renders_the_row_bytes(
     n_sites, record_every, n_multiples, tail, seed, specials, kinds
 ):
@@ -206,17 +280,19 @@ def test_site_grid_renders_the_row_bytes(
         for site in range(1, n_sites + 1)
     ]
     header = ("period", "site", "probability")
-    grid = _SiteGrid(periods, values)
 
-    assert len(grid) == len(rows)
+    chunks = list(_csv_grid(header, n_sites, zip(periods, values)))
+    # The header, then one chunk per snapshot.
+    assert len(chunks) == len(periods) + 1
     expected = "\n".join([",".join(header), *("%d,%d,%.12g" % row for row in rows)]) + "\n"
-    text = _table(header, grid, "csv")
+    text = "".join(chunks)
     assert text == expected
     if "signed_zero" in kinds[: len(periods)] and n_sites > 1:
         # The mirrored -0.0 keeps its sign, as row-by-row rendering does.
         assert ",-0\n" in text
-    assert [list(row) for row in grid] == [list(row) for row in rows]
-    assert _table(header, grid, "json") == _table(header, rows, "json")
+    grid_rows = _grid_rows(zip(periods, values))
+    assert len(grid_rows) == len(rows)
+    assert _table(header, grid_rows, "json") == _table(header, rows, "json")
 
 
 class TestDiffusion:
