@@ -87,7 +87,7 @@ def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
     if fmt == "csv":
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
-    return _json_text({"columns": list(header), "rows": [list(row) for row in rows]})
+    return _json_text({"columns": list(header), "rows": rows})
 
 
 def _csv_grid(
