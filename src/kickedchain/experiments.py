@@ -87,6 +87,7 @@ def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
     if fmt == "csv":
         line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
         return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
+    # json writes a tuple as an array, so the rows need no list copies.
     return _json_text({"columns": list(header), "rows": rows})
 
 
