@@ -5,20 +5,16 @@ every measurement and all packet geometry from ``observables``, the
 heralded pair from ``protocol``.  Every experiment produces flat files in
 the configured output directory plus a ``manifest.json`` echoing the
 configuration, the derived parameters, and a SHA-256 digest of each data
-file.  Data bytes are a pure function of (config, package version):
-tables are rendered with one locale-independent printf code per column,
-JSON payloads are built from the dataclasses that own their fields and
-written with sorted keys, and files are written atomically (temp file
-then rename).  A runner returns each file as one text or as an iterable
-of text chunks, which the write encodes, hashes and writes as they
-arrive.  A CSV distribution table, a (period, site) product grid, is
-such an iterable: each snapshot's chunk is rendered from a text template
-of every site, built once per table, while the file is written, so the
-table is never held whole; its bytes are those of rendering it row by
-row.  A snapshot of an odd chain that equals its reverse bit for
-bit (every snapshot of a mirror-symmetric run) formats only its sites
-center..N and fills both halves from those strings: equal bits give
-equal text, so each distinct value is formatted once.
+file.  Data bytes are a pure function of (config, package version).  A
+table has one layout per format: the text before its rows, a row of
+locale-independent printf codes, one per column, the text between rows
+and the text after them; a JSON table's text is the one ``json`` writes.
+Other JSON payloads are built from the dataclasses that own their fields
+and written with sorted keys.  The write encodes, hashes and writes each
+file's text chunk by chunk, atomically (temp file then rename).  The
+distribution table, a (period, site) grid, is streamed to it one snapshot
+per chunk from a site template built once, so it is never held whole; a
+snapshot that equals its reverse bit for bit formats each value once.
 """
 
 from __future__ import annotations
@@ -78,56 +74,62 @@ class RunManifest:
     files: dict
 
 
-def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
-    """Render a column table as CSV text or as a JSON columns/rows object.
+# The code of a float column; %r spells every finite float as json does.
+_FLOAT_CODE = {"csv": "%.12g", "json": "%r"}
 
-    CSV writes each column with one code, %d for integers and %.12g for
-    floats, chosen from the first row.
-    """
+
+def _layout(header: tuple[str, ...], codes, fmt: str) -> tuple[str, str, str, str]:
+    """The text before the rows, the row of column ``codes``, the text
+    between rows and the text after the rows of a ``fmt`` table: CSV, or
+    ``_json_text`` of ``{"columns": header, "rows": rows}``."""
     if fmt == "csv":
-        line = ",".join("%d" if isinstance(v, int) else "%.12g" for v in rows[0])
-        return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
-    # json writes a tuple as an array, so the rows need no list copies.
-    return _json_text({"columns": list(header), "rows": rows})
+        return ",".join(header) + "\n", ",".join(codes), "\n", "\n"
+    head, tail = _json_text({"columns": list(header), "rows": []}).split("[]")
+    row = "    [\n      " + ",\n      ".join(codes) + "\n    ]"
+    return head + "[\n", row, ",\n", "\n  ]" + tail
 
 
-def _csv_grid(
-    header: tuple[str, ...], n_sites: int, snapshots: Iterable[tuple[int, np.ndarray]]
+def _spelled(rows: str, fmt: str) -> str:
+    # json's NaN, Infinity and -Infinity for %r's nan, inf and -inf; rows hold no other letters.
+    return rows if fmt == "csv" else rows.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _table(header: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
+    """Render ``rows`` as a ``fmt`` table, one code per column chosen from the first row."""
+    codes = ["%d" if isinstance(v, int) else _FLOAT_CODE[fmt] for v in rows[0]]
+    before, row, between, after = _layout(header, codes, fmt)
+    return before + _spelled(between.join([row % r for r in rows]), fmt) + after
+
+
+def _grid(
+    header: tuple[str, ...], n_sites: int, snapshots: Iterable[tuple[int, np.ndarray]], fmt: str
 ) -> Iterator[str]:
-    """Yield the ``header`` line, then the (period, site, value) rows of
-    each ``(period, values)`` snapshot as ``%d,%d,%.12g`` lines, one
-    snapshot per chunk.
+    """Yield ``_table``'s text of the (period, site, value) rows of
+    ``(period, values)`` snapshots, one snapshot per chunk.
 
-    The site template is built once; each snapshot puts its period in
-    place of ``@`` and formats its values with one ``%``.  A mirror
-    snapshot, one of an odd chain whose values equal their reverse bit
-    for bit (compared as uint64, so 0.0 never pairs with -0.0 and NaN
-    payloads never merge), formats only sites center..N with ``%.12g``
-    and fills both halves from those strings through a ``%s`` template;
-    equal bits give equal strings, so the bytes are those of the
-    row-by-row rendering.
+    Each snapshot puts its period in place of ``@`` in a site template
+    built once and formats its values with one ``%``.  A mirror snapshot,
+    one of an odd chain whose values equal their reverse bit for bit
+    (compared as uint64, so 0.0 never pairs with -0.0 and NaN payloads
+    never merge), formats only sites center..N and fills both halves
+    from those strings; equal bits give equal strings.
     """
-    yield ",".join(header) + "\n"
-    template = "".join([f"@,{site},%.12g\n" for site in range(1, n_sites + 1)])
+    code = _FLOAT_CODE[fmt]
+    before, row, between, after = _layout(header, ("@", "%d", "%" + code), fmt)
+    yield before
+    template = between.join([row % site for site in range(1, n_sites + 1)])
     mid = n_sites // 2
-    mirror_template = template.replace("%.12g", "%s")
-    half_format = ",".join(["%.12g"] * (n_sites - mid))
-    for period, values in snapshots:
+    mirror_template = template.replace(code, "%s")
+    half_format = ",".join([code] * (n_sites - mid))
+    for i, (period, values) in enumerate(snapshots):
         bits = values.view(np.uint64)
         if n_sites % 2 and (bits == bits[::-1]).all():
             half = (half_format % tuple(values[mid:].tolist())).split(",")
-            yield mirror_template.replace("@", str(period)) % tuple(half[:0:-1] + half)
+            text = mirror_template.replace("@", str(period)) % tuple(half[:0:-1] + half)
         else:
-            yield template.replace("@", str(period)) % tuple(values.tolist())
-
-
-def _grid_rows(snapshots: Iterable[tuple[int, np.ndarray]]) -> list[tuple[int, int, float]]:
-    """The (period, site, value) rows of ``(period, values)`` snapshots."""
-    return [
-        (period, site, value)
-        for period, values in snapshots
-        for site, value in enumerate(values.tolist(), 1)
-    ]
+            text = template.replace("@", str(period)) % tuple(values.tolist())
+        yield (between if i else "") + _spelled(text, fmt)
+    yield after
 
 
 def _json_text(payload) -> str:
@@ -144,9 +146,7 @@ def _distribution(cfg: ExperimentConfig, traj) -> dict:
     # |a|² is read one snapshot at a time, as the table is written.
     header = ("period", "site", "probability")
     snapshots = ((period, np.abs(state.amplitudes) ** 2) for period, state in traj)
-    if cfg.format == "csv":
-        return {"distribution.csv": _csv_grid(header, cfg.chain.n_sites, snapshots)}
-    return {"distribution.json": _table(header, _grid_rows(snapshots), "json")}
+    return {f"distribution.{cfg.format}": _grid(header, cfg.chain.n_sites, snapshots, cfg.format)}
 
 
 def _run_evolve(cfg: ExperimentConfig) -> dict:

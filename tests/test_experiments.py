@@ -23,7 +23,7 @@ from kickedchain import (
     trackable_pulses,
 )
 from kickedchain import experiments, observables
-from kickedchain.experiments import WRITE_SLICE, _atomic_write, _csv_grid, _grid_rows, _table
+from kickedchain.experiments import WRITE_SLICE, _atomic_write, _grid, _json_text, _table
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -71,16 +71,19 @@ class TestEvolve:
             assert block[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
         assert set(manifest.files) == {"distribution.csv"}
 
-    def test_distribution_is_streamed_from_the_snapshots(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_distribution_is_streamed_from_the_snapshots(self, tmp_path, fmt):
         # The default chain, 200 periods, every one recorded: the trajectory
         # holds 201 snapshots of 1401 complex128 amplitudes, 4.5 MB, and its
-        # CSV table is 7 MB of text.  Streamed, the peak above the snapshots
-        # is one snapshot's working set, the hop's buffers and the manifest:
-        # its |a|² (11 KB), the site templates (about 21 KB each), the
-        # snapshot's text (about 36 KB) and its tuple of floats (45 KB), and
-        # at most one encoded slice (at most 256 KB).  That sums to well
-        # under 1 MB, while a whole table's text or encoding alone is 7 MB.
-        cfg = cfg_for(tmp_path, "evolve", "n_periods=200", "record_every=1")
+        # CSV table is 7 MB of text, its JSON table 18 MB.  Streamed, the
+        # peak above the snapshots is one snapshot's working set, the hop's
+        # buffers and the manifest: its |a|² (11 KB), the site templates
+        # (about 17 KB each in CSV, 59 KB in JSON), the snapshot's text
+        # (about 36 KB in CSV, 88 KB in JSON) and one copy of it joined to
+        # the text between rows, its tuple of floats (45 KB), and at most
+        # one encoded slice (at most 256 KB).  That sums to well under 1 MB,
+        # while a whole table's text or encoding alone is 7 MB.
+        cfg = cfg_for(tmp_path, "evolve", "n_periods=200", "record_every=1", f"format={fmt}")
         trajectory_bytes = (cfg.n_periods + 1) * cfg.chain.n_sites * 16
         tracemalloc.start()
         try:
@@ -281,18 +284,53 @@ def test_site_grid_renders_the_row_bytes(
     ]
     header = ("period", "site", "probability")
 
-    chunks = list(_csv_grid(header, n_sites, zip(periods, values)))
-    # The header, then one chunk per snapshot.
-    assert len(chunks) == len(periods) + 1
+    csv_chunks = list(_grid(header, n_sites, zip(periods, values), "csv"))
+    # The header, one chunk per snapshot, then the text after the rows.
+    assert len(csv_chunks) == len(periods) + 2
     expected = "\n".join([",".join(header), *("%d,%d,%.12g" % row for row in rows)]) + "\n"
-    text = "".join(chunks)
+    text = "".join(csv_chunks)
     assert text == expected
     if "signed_zero" in kinds[: len(periods)] and n_sites > 1:
         # The mirrored -0.0 keeps its sign, as row-by-row rendering does.
         assert ",-0\n" in text
-    grid_rows = _grid_rows(zip(periods, values))
-    assert len(grid_rows) == len(rows)
-    assert _table(header, grid_rows, "json") == _table(header, rows, "json")
+    json_text = _json_text({"columns": list(header), "rows": rows})
+    assert "".join(_grid(header, n_sites, zip(periods, values), "json")) == json_text
+    assert _table(header, rows, "json") == json_text
+
+
+# Floats where repr or %.12g changes form: signed zeros, the smallest
+# subnormal, either side of repr's switches to exponent form at 1e-4 and
+# 1e16, and the non-finite values json spells NaN, Infinity and -Infinity.
+TABLE_VALUES = (
+    0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.1, 1e16, 9999999999999998.0, -1e300,
+    math.nan, math.inf, -math.inf,
+)
+# The headers of the tables _table renders: diffusion's variance,
+# entanglement's measures and localization's profile.
+TABLE_HEADERS = (
+    ("period", "variance", "classical_prediction"),
+    ("period", "q_measure", "ipr", "max_concurrence"),
+    ("site", "log_probability"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    header=st.sampled_from(TABLE_HEADERS),
+    values=st.lists(st.floats() | st.sampled_from(TABLE_VALUES), min_size=1, max_size=30),
+)
+@example(TABLE_HEADERS[0], list(TABLE_VALUES))
+@example(TABLE_HEADERS[1], list(TABLE_VALUES))
+@example(TABLE_HEADERS[2], list(TABLE_VALUES))
+def test_table_renders_each_format_row_by_row(header, values):
+    # One int column, then float columns; every value lands in every float
+    # column once.
+    n = len(header) - 1
+    rows = [(i, *(values * n)[i * n:(i + 1) * n]) for i in range(len(values))]
+    line = ",".join(["%d", *["%.12g"] * n])
+    expected = "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
+    assert _table(header, rows, "csv") == expected
+    assert _table(header, rows, "json") == _json_text({"columns": list(header), "rows": rows})
 
 
 class TestDiffusion:
