@@ -29,32 +29,19 @@ and depend on beta alone; for W >= N on the 2N ring itself.
 rotor's Bessel column, so the Bessel check sees the production taps.
 
 The banded hop moves amplitude at most P sites per period, so a state
-that starts on a few sites has a strict light cone.  ``evolve`` hops the
-shortest segment on the ladder ceil(N/2**(k/2)) that holds the cone, so
-a segment is never much more than sqrt(2) times its cone.  Rung 0 is the
-whole chain and writes back every site.  Below rung 0 the
-segment's inner edges mirror-pad sites the cone has not reached, which
-are exactly zero, and its clipped edges are the chain's open ends, so
-the segment hop is the full hop up to FFT rounding and the sites outside
-the cone stay exactly zero.
-
-A run that starts mirror symmetric about the middle site of an odd chain,
-kicked there, stays so: the hop and the kick commute with the reflection
-r -> N + 1 - r.  When N is odd, center = (N+1)/2, the initial amplitudes
-equal their reverse bit for bit and P <= (N-1)/2, ``evolve`` hops only
-the sites center..N: their left edge is padded by the whole-sample mirror
-about the centre site, their right edge is the open end as before, and
-each snapshot is mirrored back onto all N sites.  The FFT length drops
-to next_fast_len((N+1)/2 + 2P) and the output is exactly symmetric.
-Every other start runs on the full chain.
+that starts on a few sites has a strict light cone, and ``evolve`` hops
+only the shortest segment on the ladder ceil(N/2**(k/2)) that holds it,
+in place in one mirror-padded array.  A start mirror symmetric about the
+middle site of an odd chain, kicked there, stays so (the hop and the kick
+commute with r -> N + 1 - r), and ``evolve`` then hops only its sites
+center..N.  Its docstring gives both rules and why they are exact.
 
 Every FFT here (``_fft``, ``_ifft``) calls pocketfft's compiled ``c2c``
 kernel with the arguments ``scipy.fft.fft`` and ``ifft`` pass it, so the
-bits are the same.  The public functions first dispatch through uarray's
-backend machinery and check their arguments: about 3.3 and 4.2 us per
-call at length 864 (shared 2-vCPU Xeon, best of 7), against 6.0 and
-7.2 us for the kernel itself.  At N = 1401, beta = 20 that dispatch was
-about 28% of a period of ``evolve``, so the hop skips it.
+bits are the same, and skips their uarray dispatch and argument checks:
+about 3.3 and 4.2 us per call at length 864, against 6.0 and 7.2 us for
+the kernel (shared 2-vCPU Xeon, best of 7), 28% of a period of
+``evolve`` at N = 1401, beta = 20.
 
 The kernel's module, ``scipy.fft._pocketfft.pypocketfft``, is loaded
 from its file (``_load_pocketfft``), never through ``import scipy.fft``:
@@ -228,21 +215,20 @@ def _tap_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
     return _fft(h)
 
 
-def _ring_hop(amps: np.ndarray, pad: int, spectrum: np.ndarray, buf: np.ndarray,
-              centre: bool = False) -> np.ndarray:
-    """Hop one period: mirror-pad ``amps`` by ``pad`` sites into ``buf`` (as
-    ``np.pad(amps, pad, mode="symmetric")``; the tail past it stays zero),
-    convolve with the taps whose FFT is ``spectrum``, keep the N central
-    outputs.  With ``centre``, ``amps[0]`` is the centre site of a mirror
-    symmetric chain, so the left edge is padded by the whole-sample mirror
-    ``amps[1:pad+1][::-1]`` instead; the right edge is always an open end."""
+def _padded(amps: np.ndarray, pad: int, size: int, centre: bool = False):
+    """``size`` entries: ``amps`` between ``pad``-site mirror pads (as
+    ``np.pad(amps, pad, mode="symmetric")``), then zeros; and the two
+    (pad, mirrored sites) view pairs that refill the pads.  With ``centre``,
+    ``amps[0]`` is the centre site of a mirror symmetric chain, so the left
+    pad is the whole-sample mirror ``amps[1:pad+1][::-1]``."""
     n, skip = amps.size, int(centre)
-    buf[:pad] = amps[skip:pad + skip][::-1]
-    buf[pad:pad + n] = amps
-    buf[pad + n:2 * pad + n] = amps[n - pad:][::-1]
-    out = _fft(buf)
-    out *= spectrum
-    return _ifft(out, out)[pad:pad + n]
+    state = np.zeros(size, dtype=np.complex128)
+    state[pad:pad + n] = amps
+    ends = ((state[:pad], state[pad + skip:2 * pad + skip][::-1]),
+            (state[pad + n:2 * pad + n], state[n:pad + n][::-1]))
+    for end, sites in ends:
+        end[:] = sites
+    return state, ends
 
 
 def kick_phases(p: ChainParams) -> np.ndarray:
@@ -289,10 +275,11 @@ def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
     """Exact inverse of one period of ``evolve``: conjugate kick, then hop
     backwards with the conjugate tap spectrum (the taps are symmetric in d)."""
     check_sites(state, ctx.params.n_sites)
-    amps = state.amplitudes * np.conj(ctx.kick_factors)
-    length = _next_fast_len(amps.size + 2 * ctx.pad)
-    spectrum = np.conj(_tap_spectrum(ctx.band_taps, length))
-    return SpinState(_ring_hop(amps, ctx.pad, spectrum, np.zeros(length, dtype=np.complex128)))
+    n, pad = state.n_sites, ctx.pad
+    length = _next_fast_len(n + 2 * pad)
+    out = _fft(_padded(state.amplitudes * np.conj(ctx.kick_factors), pad, length)[0])
+    out *= np.conj(_tap_spectrum(ctx.band_taps, length))
+    return SpinState(_ifft(out, out)[pad:pad + n])
 
 
 @dataclass(frozen=True)
@@ -313,16 +300,16 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rung(n_sites: int, width: int) -> int:
-    """The shortest rung ceil(N / 2**(k/2)), k = 0, 1, ..., that holds
-    ``width`` sites (2 <= width <= N).
+def _ladder(n_sites: int, k: int) -> int:
+    """Rung k of the segment ladder, ceil(N / 2**(k/2)): the smallest s
+    with s*s * 2**k >= N*N, in integers so a restart climbs the same rungs."""
+    return math.isqrt(-(-n_sites * n_sites >> k) - 1) + 1
 
-    Rung k is the smallest s with s*s * 2**k >= N*N, so it holds ``width``
-    exactly while (width - 1)**2 * 2**k < N*N.  All in integers, so a
-    restart climbs the same rungs."""
-    nn = n_sites * n_sites
-    k = ((nn - 1) // (width - 1) ** 2).bit_length() - 1
-    return math.isqrt(-(-nn >> k) - 1) + 1
+
+def _rung(n_sites: int, width: int) -> int:
+    """The shortest rung that holds ``width`` sites (2 <= width <= N).
+    Rung k holds it exactly while (width - 1)**2 * 2**k < N*N."""
+    return _ladder(n_sites, ((n_sites * n_sites - 1) // (width - 1) ** 2).bit_length() - 1)
 
 
 def evolve(
@@ -337,8 +324,9 @@ def evolve(
     and at the final period.  Period 0 is ``initial`` itself, held by
     reference, so only the snapshots recorded after it count against the
     budget of MAX_SNAPSHOT_VALUES amplitudes (MemoryBudgetError otherwise).
-    Each period is one banded ring-kernel hop and one kick on the raw
-    amplitude array; only recorded snapshots become SpinState values.
+    Each period is one banded ring-kernel hop and one kick, in place in
+    one array: the sites between the chain ends' mirror pads, then zeros
+    for the longest FFT.  Only recorded snapshots become SpinState values.
 
     The hop moves amplitude at most P sites per period, so after j periods
     the state vanishes outside its initial support grown by P*j sites on
@@ -349,17 +337,18 @@ def evolve(
     than the top sub-rung ceil(N / sqrt(2)) hops there, from the first
     period for a start that spans the chain or for the folded band
     (P = N).  Below rung 0 only the cone is written back, so the sites
-    outside it stay exactly zero.  This is the full hop up to FFT
-    rounding: at a segment edge inside the chain the mirror padding copies
-    P sites the cone has not reached yet, all zero, and at a clipped edge
-    it is the chain's own open end.
+    outside it stay exactly zero.  The FFT window starts P sites before
+    the segment: past an inner edge it holds sites the cone has not
+    reached, zero as the segment's own mirror pad would be, and past a
+    clipped edge the chain end's pad, so it is the full hop up to rounding.
 
     Parity reduction: when N is odd, center = (N+1)/2, ``initial`` equals
     its reverse bit for bit and P <= (N-1)/2, the same loop runs on sites
     center..N alone, whose cone starts at the centre site, with the
-    centre edge padded by the whole-sample mirror; each snapshot mirrors
-    them onto the N-site state.  Any other start (asymmetric, an
-    off-centre kick, even N, the folded band) hops the full chain.
+    centre edge padded by the whole-sample mirror and an FFT of
+    next_fast_len((N+1)/2 + 2P); each snapshot mirrors them onto the N
+    sites, exactly symmetric.  Any other start (asymmetric, an off-centre
+    kick, even N, the folded band) hops the full chain.
     """
     p = ctx.params
     check_sites(initial, p.n_sites)
@@ -386,7 +375,11 @@ def evolve(
     if half:
         base = p.center - 1
         amps, kick, n, lo, hi = amps[base:], kick[base:], n - base, 0, hi - base
-    work = amps.copy()
+    # Zeros past the right pad as far as the ladder's longest FFT reaches.
+    rungs = (_ladder(n, k) for k in range(2 * n.bit_length() + 1))
+    size = n + max(_next_fast_len(r + 2 * pad) - r for r in rungs)
+    state, ((left, left_sites), (right, right_sites)) = _padded(amps, pad, size, half)
+    sites = state[pad:pad + n]
     periods = [0]
     states = [initial]
     seg = 0
@@ -401,15 +394,20 @@ def evolve(
                 seg = _rung(n, c1 - c0)
                 length = _next_fast_len(seg + 2 * pad)
                 spectrum = _tap_spectrum(ctx.band_taps, length)
-                buf = np.zeros(length, dtype=np.complex128)
+                out = np.empty(length, dtype=np.complex128)
             if seg == n:
                 c0, c1 = 0, n
             s0 = min(c0, n - seg)
-        hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf, half)
-        # Below rung 0, past the cone the hop leaves only rounding: keep
-        # the zeros.
-        np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
+            window, hopped = state[s0:s0 + length], out[pad + c0 - s0:pad + c1 - s0]
+            cone, cone_kick = sites[c0:c1], kick[c0:c1]
+        _fft(window, out)
+        out *= spectrum
+        _ifft(out, out)
+        # Below rung 0 the zeros past the cone stay: the hop left rounding.
+        np.multiply(hopped, cone_kick, out=cone)
+        left[:] = left_sites
+        right[:] = right_sites
         if j % record_every == 0 or j == n_periods:
             periods.append(j)
-            states.append(SpinState(np.concatenate((work[:0:-1], work)) if half else work))
+            states.append(SpinState(np.concatenate((sites[:0:-1], sites)) if half else sites))
     return Trajectory(periods=tuple(periods), states=tuple(states))

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,6 @@ from kickedchain.chain import (
     _fft,
     _ifft,
     _next_fast_len,
-    _ring_hop,
     _rung,
     _tap_spectrum,
     kick_phases,
@@ -96,12 +97,10 @@ class TestPropagator:
             oracle_hamiltonian(big)
 
     def test_transform_route_matches_dense(self, make_random_state):
+        # At b_q = 0 every kick factor is exactly 1, so one period of
+        # evolve is its FFT hop alone; a state on every site hops rung 0.
         state = make_random_state(64)
-        ctx = make_context(P64)
-        length = next_fast_len(64 + 2 * ctx.pad)
-        spectrum = _tap_spectrum(ctx.band_taps, length)
-        buf = np.zeros(length, dtype=np.complex128)
-        via_transform = _ring_hop(state.amplitudes, ctx.pad, spectrum, buf)
+        via_transform = evolve(state, make_context(replace(P64, b_q=0.0)), 1).final.amplitudes
         via_matrix = uhc_matrix(P64, 1.0) @ state.amplitudes
         assert np.max(np.abs(via_transform - via_matrix)) < 1e-12
 
@@ -296,9 +295,134 @@ def _sites_state(n_sites, sites, seed=0):
     return SpinState(amps / np.linalg.norm(amps))
 
 
+def _ring_hop(amps, pad, spectrum, buf, centre=False):
+    """Reference hop of one segment: mirror-pad ``amps`` by ``pad`` sites
+    into ``buf`` (whose tail past them stays zero), convolve with the taps
+    whose FFT is ``spectrum`` and keep the central outputs.  With
+    ``centre``, ``amps[0]`` is the centre site of a mirror symmetric chain
+    and the left edge takes the whole-sample mirror ``amps[1:pad+1]``."""
+    n, skip = amps.size, int(centre)
+    buf[:pad] = amps[skip:pad + skip][::-1]
+    buf[pad:pad + n] = amps
+    buf[pad + n:2 * pad + n] = amps[n - pad:][::-1]
+    out = _fft(buf)
+    out *= spectrum
+    return _ifft(out, out)[pad:pad + n]
+
+
+def _segment_loop(initial, ctx, n_periods, record_every):
+    """Reference evolve: the same light-cone ladder and half path, but each
+    period copies its segment into a scratch buffer and hops it with
+    ``_ring_hop``.  Returns the periods and the recorded amplitudes."""
+    p = ctx.params
+    n, pad, kick = p.n_sites, ctx.pad, ctx.kick_factors
+    amps = initial.amplitudes
+    support = np.flatnonzero(amps)
+    lo, hi = int(support[0]), int(support[-1]) + 1
+    half = 2 * p.center == n + 1 and pad < p.center and np.array_equal(amps, amps[::-1])
+    if half:
+        base = p.center - 1
+        amps, kick, n, lo, hi = amps[base:], kick[base:], n - base, 0, hi - base
+    work = amps.copy()
+    periods, states, seg = [0], [initial.amplitudes], 0
+    for j in range(1, n_periods + 1):
+        if seg < n:
+            c0, c1 = max(lo - pad * j, 0), min(hi + pad * j, n)
+            if c1 - c0 > seg:
+                seg = _rung(n, c1 - c0)
+                length = next_fast_len(seg + 2 * pad)
+                spectrum = _tap_spectrum(ctx.band_taps, length)
+                buf = np.zeros(length, dtype=np.complex128)
+            if seg == n:
+                c0, c1 = 0, n
+            s0 = min(c0, n - seg)
+        hopped = _ring_hop(work[s0:s0 + seg], pad, spectrum, buf, half)
+        np.multiply(hopped[c0 - s0:c1 - s0], kick[c0:c1], out=work[c0:c1])
+        if j % record_every == 0 or j == n_periods:
+            periods.append(j)
+            states.append(np.concatenate((work[:0:-1], work)) if half else work.copy())
+    return tuple(periods), states
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_sites=st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from(PRIMES)),
+    middle=st.booleans(),
+    center=st.floats(min_value=0.0, max_value=1.0),
+    # Up to 1e4, far past W >= N (the folded band) at every N here.
+    beta=st.floats(min_value=-2.0, max_value=4.0).map(lambda x: 10.0 ** x),
+    start=st.sampled_from(("single site", "mirror pair", "asymmetric")),
+    n_periods=st.integers(min_value=0, max_value=40),
+    record_every=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# A prime N on the half path, whose cone meets the open end.
+@example(n_sites=257, middle=True, center=0.0, beta=20.0, start="mirror pair",
+         n_periods=40, record_every=7, seed=0)
+# The folded band: rung 0 and P = N from the first period.
+@example(n_sites=64, middle=False, center=0.3, beta=1e4, start="asymmetric",
+         n_periods=5, record_every=2, seed=1)
+# Below rung 0 on both sides of an off-centre start, then rung 0.
+@example(n_sites=293, middle=False, center=0.4, beta=1.0, start="single site",
+         n_periods=40, record_every=3, seed=2)
+@example(n_sites=2, middle=True, center=0.0, beta=0.5, start="single site",
+         n_periods=0, record_every=1, seed=3)
+def test_evolve_is_the_segment_loop_bit_for_bit(n_sites, middle, center, beta, start,
+                                                n_periods, record_every, seed):
+    # evolve hops a window of one padded array in place; the reference
+    # copies each segment with its own mirror pads.  Every FFT input is
+    # the same, so every snapshot must be the same to the last bit.
+    center = (n_sites + 1) // 2 if middle else 1 + round(center * (n_sites - 1))
+    ctx = make_context(ChainParams(n_sites=n_sites, center=center, beta=beta, b_q=0.3))
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(n_sites, dtype=np.complex128)
+    site = int(rng.integers(n_sites))
+    if start == "asymmetric":
+        sites = rng.integers(n_sites, size=int(rng.integers(1, 5)))
+        amps[sites] = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
+    else:
+        amps[site] = 0.6 - 0.8j
+        if start == "mirror pair":
+            amps[n_sites - 1 - site] = amps[site]
+    traj = evolve(SpinState(amps / np.linalg.norm(amps)), ctx, n_periods, record_every)
+    periods, want = _segment_loop(traj.states[0], ctx, n_periods, record_every)
+    assert traj.periods == periods
+    for state, amplitudes in zip(traj.states, want, strict=True):
+        assert np.array_equal(state.amplitudes.view(np.uint64), amplitudes.view(np.uint64))
+
+
+def test_evolve_past_the_cone_holds_one_padded_state():
+    # The half path at N = 200,001 with P = 53 (beta = 5): the cone covers
+    # the 100,001 half-chain sites by period 1,887, so the last periods
+    # hop rung 0 at the FFT length L = next_fast_len(100,001 + 2P).  At
+    # the final snapshot evolve holds the padded state (the half chain,
+    # its two pads and the ladder's longest FFT overhang, about L
+    # entries), rung 0's output array and tap spectrum (L each), and the
+    # final snapshot twice: mirrored onto the N sites and SpinState's own
+    # validated copy.  That is 16 B x (3L + 2N), 11.2 MB.  The 0.5 MiB of
+    # slack covers the tail past L and Python objects, not a second copy
+    # of the half chain (1.6 MB).  The start, period 0, is held by
+    # reference and made before tracing.
+    n_sites, n_periods = 200_001, 2000
+    p = ChainParams(n_sites=n_sites, center=100_001, beta=5.0, b_q=0.3)
+    ctx = make_context(p)
+    half = n_sites - p.center + 1
+    assert ctx.pad < p.center and 1 + ctx.pad * n_periods > half
+    length = next_fast_len(half + 2 * ctx.pad)
+    start = site_state(n_sites, p.center)
+    tracemalloc.start()
+    try:
+        traj = evolve(start, ctx, n_periods, record_every=n_periods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.periods == (0, n_periods)
+    assert peak <= 16 * (3 * length + 2 * n_sites) + (1 << 19), peak
+
+
 def _full_chain_periods(start, ctx, n_periods):
-    """Amplitudes at periods 0..n_periods from one _ring_hop over all N
-    sites and the kick per period: the reference loop with no light cone."""
+    """Amplitudes at periods 0..n_periods from the reference ``_ring_hop``
+    over all N sites and the kick per period: the loop with no light cone."""
     length = next_fast_len(start.n_sites + 2 * ctx.pad)
     spectrum = _tap_spectrum(ctx.band_taps, length)
     buf = np.zeros(length, dtype=np.complex128)
@@ -429,14 +553,14 @@ class TestMirrorHalf:
 
     @pytest.fixture
     def edges(self, monkeypatch):
-        # The centre-edge flag of every _ring_hop call evolve makes.
-        real, seen = _ring_hop, []
+        # The centre-edge flag of every padded layout evolve hops in.
+        real, seen = kickedchain.chain._padded, []
 
-        def spy(amps, pad, spectrum, buf, centre=False):
+        def spy(amps, pad, size, centre=False):
             seen.append(centre)
-            return real(amps, pad, spectrum, buf, centre)
+            return real(amps, pad, size, centre)
 
-        monkeypatch.setattr("kickedchain.chain._ring_hop", spy)
+        monkeypatch.setattr("kickedchain.chain._padded", spy)
         return seen
 
     @pytest.mark.parametrize("case", sorted(DISPATCH))

@@ -16,6 +16,30 @@ from kickedchain.validation import (
 )
 
 
+def _corrupt_hops(monkeypatch, when):
+    """Conjugate the tap spectrum, a sign error in the hop's phases, of
+    every rung that evolve or step_period_inverse builds while
+    ``when(centre, sites, pad, length)`` holds for the padded layout it
+    hops in (``sites``: the N or half-chain sites) and the FFT length.
+    Returns the (centre, sites) of each corrupted rung."""
+    chain = kickedchain.chain
+    real_padded, real_spectrum, layout, hit = chain._padded, chain._tap_spectrum, [], []
+
+    def padded(amps, pad, size, centre=False):
+        layout[:] = [centre, amps.size, pad]
+        return real_padded(amps, pad, size, centre)
+
+    def spectrum(taps, length):
+        if not when(*layout, length):
+            return real_spectrum(taps, length)
+        hit.append(tuple(layout[:2]))
+        return np.conj(real_spectrum(taps, length))
+
+    monkeypatch.setattr(chain, "_padded", padded)
+    monkeypatch.setattr(chain, "_tap_spectrum", spectrum)
+    return hit
+
+
 class TestSuite:
     def test_fresh_build_is_green(self):
         report = validate_suite()
@@ -48,18 +72,11 @@ class TestSuite:
         assert _check_q_ipr_identity() == worst
 
     def test_mutation_breaks_engine_equivalence(self, monkeypatch):
-        # A sign error injected into the ring-kernel hop that evolve calls:
+        # A sign error injected into the ring-kernel hop that evolve runs:
         # the dense route is untouched, so the cross-engine check must trip
         # (and the quadrature check, which runs evolve too), never the
         # dense-only matrix-exponential check.
-        real = kickedchain.chain._ring_hop
-        edges = set()
-
-        def corrupted(amps, pad, spectrum, buf, centre=False):
-            edges.add(centre)
-            return real(amps, pad, np.conj(spectrum), buf, centre)
-
-        monkeypatch.setattr(kickedchain.chain, "_ring_hop", corrupted)
+        hit = _corrupt_hops(monkeypatch, lambda centre, sites, pad, length: True)
         report = validate_suite()
         assert not report.passed
         assert "engine_equivalence" in report.failures
@@ -67,26 +84,21 @@ class TestSuite:
         assert by_name["propagator_vs_matrix_exponential"].passed
         # Both of the check's chains ran the corrupted hop: N=257 (center
         # 129) on the mirror-symmetric half path, N=256 on the full chain.
-        assert edges == {True, False}
+        assert {(True, 129), (False, 256)} <= set(hit)
+        assert {centre for centre, _ in hit} == {True, False}
 
     def test_quadrature_check_runs_evolve_below_rung_0(self, monkeypatch):
         # A sign error only in full-chain hops of a segment shorter than
         # the chain: the quadrature check's one-period runs from both open
         # ends hop such segments, the cross-engine check's never do (N=256
         # is on rung 0 from its first period, N=257 takes the half path).
-        real = kickedchain.chain._ring_hop
-        clipped = []
+        def below_rung_0(centre, sites, pad, length):
+            return not centre and length < kickedchain.chain._next_fast_len(sites + 2 * pad)
 
-        def corrupted(amps, pad, spectrum, buf, centre=False):
-            if centre or amps.size >= 256:
-                return real(amps, pad, spectrum, buf, centre)
-            clipped.append(amps.size)
-            return real(amps, pad, np.conj(spectrum), buf, centre)
-
-        monkeypatch.setattr(kickedchain.chain, "_ring_hop", corrupted)
+        hit = _corrupt_hops(monkeypatch, below_rung_0)
         assert validate_suite().failures == ("quadrature_vs_propagator",)
-        # Six starts at each end of N=1024, one period each.
-        assert len(clipped) == 12
+        # Six starts at each end of N=1024, one period (one rung) each.
+        assert hit == [(False, 1024)] * 12
 
     def test_concurrence_check_runs_the_production_formula(self, monkeypatch):
         # The check reads production concurrence, so doubling the pair
