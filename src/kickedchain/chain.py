@@ -35,6 +35,7 @@ in place in one mirror-padded array.  A start mirror symmetric about the
 middle site of an odd chain, kicked there, stays so (the hop and the kick
 commute with r -> N + 1 - r), and ``evolve`` then hops only its sites
 center..N.  Its docstring gives both rules and why they are exact.
+``step_period_inverse`` runs ``evolve`` too, by time reversal.
 
 Every FFT here (``_fft``, ``_ifft``) calls pocketfft's compiled ``c2c``
 kernel with the arguments ``scipy.fft.fft`` and ``ifft`` pass it, so the
@@ -215,7 +216,7 @@ def _tap_spectrum(taps: np.ndarray, length: int) -> np.ndarray:
     return _fft(h)
 
 
-def _padded(amps: np.ndarray, pad: int, size: int, centre: bool = False):
+def _padded(amps: np.ndarray, pad: int, size: int, centre: bool):
     """``size`` entries: ``amps`` between ``pad``-site mirror pads (as
     ``np.pad(amps, pad, mode="symmetric")``), then zeros; and the two
     (pad, mirrored sites) view pairs that refill the pads.  With ``centre``,
@@ -272,14 +273,13 @@ def make_context(p: ChainParams) -> EvolutionContext:
 
 
 def step_period_inverse(state: SpinState, ctx: EvolutionContext) -> SpinState:
-    """Exact inverse of one period of ``evolve``: conjugate kick, then hop
-    backwards with the conjugate tap spectrum (the taps are symmetric in d)."""
+    """Exact inverse of one period of ``evolve`` by time reversal: the hop U is
+    symmetric and unitary and the kick K diagonal, so the period F = K U has
+    F^-n psi = K conj(F^n(K conj(psi))), here n = 1: a mirror symmetric state's
+    inverse is exactly so.  Above MAX_SNAPSHOT_VALUES sites: MemoryBudgetError."""
     check_sites(state, ctx.params.n_sites)
-    n, pad = state.n_sites, ctx.pad
-    length = _next_fast_len(n + 2 * pad)
-    out = _fft(_padded(state.amplitudes * np.conj(ctx.kick_factors), pad, length)[0])
-    out *= np.conj(_tap_spectrum(ctx.band_taps, length))
-    return SpinState(_ifft(out, out)[pad:pad + n])
+    forward = evolve(SpinState(ctx.kick_factors * np.conj(state.amplitudes)), ctx, 1).final
+    return SpinState(ctx.kick_factors * np.conj(forward.amplitudes))
 
 
 @dataclass(frozen=True)

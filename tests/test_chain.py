@@ -173,6 +173,10 @@ class TestEvolution:
 
         with pytest.raises(DimensionMismatchError):
             evolve(site_state(32, 16), ctx, 1)
+        # The inverse kicks before it evolves: without its own size check
+        # this would be numpy's broadcast error.
+        with pytest.raises(DimensionMismatchError):
+            step_period_inverse(site_state(32, 16), ctx)
 
     def test_matches_brute_force_product(self):
         # Full period against explicit matrix product kick * U_hop.
@@ -193,6 +197,7 @@ class TestOnePath:
     against the dense oracle product diag(kick) . U_hop."""
 
     @settings(max_examples=60, deadline=None)
+    @example(n_sites=211, beta=20.0, b_q=0.3, where="middle", n_periods=5, seed=1)
     @given(
         n_sites=st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from(PRIMES)),
         # Up to 1e4 at N <= 64 reaches the folded band (W >= N) as well.
@@ -222,11 +227,25 @@ class TestOnePath:
             want = u @ want
         assert traj.periods == tuple(range(n_periods + 1))
 
+        # Back one period, and the whole run in one evolve call by time
+        # reversal, F^-n psi = K conj(F^n(K conj(psi))).  A mirror symmetric
+        # start, on the half path (odd N, central kick, band inside the
+        # half), must come back exactly symmetric.
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
-        state = SpinState(amps / np.linalg.norm(amps))
-        back = step_period_inverse(evolve(state, ctx, 1).final, ctx)
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+        starts = [amps]
+        if 2 * center == n_sites + 1 and ctx.pad < center:
+            starts.append(amps + amps[::-1])
+        kick = ctx.kick_factors
+        for k, amps in enumerate(starts):
+            state = SpinState(amps / np.linalg.norm(amps))
+            back = step_period_inverse(evolve(state, ctx, 1).final, ctx).amplitudes
+            assert np.max(np.abs(back - state.amplitudes)) < 1e-12
+            if k:
+                assert np.array_equal(back, back[::-1])
+            final = evolve(state, ctx, n_periods).final.amplitudes
+            run = evolve(SpinState(kick * np.conj(final)), ctx, n_periods).final
+            assert np.max(np.abs(kick * np.conj(run.amplitudes) - state.amplitudes)) < 1e-12
 
     def test_folded_band_matches_oracle(self, make_random_state):
         # W = beta + 10 beta^(1/3) + 30 >> N: the taps fold onto the 2N
@@ -556,7 +575,7 @@ class TestMirrorHalf:
         # The centre-edge flag of every padded layout evolve hops in.
         real, seen = kickedchain.chain._padded, []
 
-        def spy(amps, pad, size, centre=False):
+        def spy(amps, pad, size, centre):
             seen.append(centre)
             return real(amps, pad, size, centre)
 

@@ -18,14 +18,14 @@ from kickedchain.validation import (
 
 def _corrupt_hops(monkeypatch, when):
     """Conjugate the tap spectrum, a sign error in the hop's phases, of
-    every rung that evolve or step_period_inverse builds while
-    ``when(centre, sites, pad, length)`` holds for the padded layout it
-    hops in (``sites``: the N or half-chain sites) and the FFT length.
-    Returns the (centre, sites) of each corrupted rung."""
+    every rung that evolve builds while ``when(centre, sites, pad, length)``
+    holds for the padded layout it hops in (``sites``: the N or half-chain
+    sites) and the FFT length.  Returns the (centre, sites) of each
+    corrupted rung."""
     chain = kickedchain.chain
     real_padded, real_spectrum, layout, hit = chain._padded, chain._tap_spectrum, [], []
 
-    def padded(amps, pad, size, centre=False):
+    def padded(amps, pad, size, centre):
         layout[:] = [centre, amps.size, pad]
         return real_padded(amps, pad, size, centre)
 
