@@ -237,11 +237,11 @@ class TestOnePath:
         if 2 * center == n_sites + 1 and ctx.pad < center:
             starts.append(amps + amps[::-1])
         kick = ctx.kick_factors
-        for k, amps in enumerate(starts):
+        for mirrored, amps in enumerate(starts):
             state = SpinState(amps / np.linalg.norm(amps))
             back = step_period_inverse(evolve(state, ctx, 1).final, ctx).amplitudes
             assert np.max(np.abs(back - state.amplitudes)) < 1e-12
-            if k:
+            if mirrored:
                 assert np.array_equal(back, back[::-1])
             final = evolve(state, ctx, n_periods).final.amplitudes
             run = evolve(SpinState(kick * np.conj(final)), ctx, n_periods).final
