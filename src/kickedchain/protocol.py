@@ -126,23 +126,18 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
     final = traj.final
     window = measurement_window(p, final, n_pulses)
     absent = central_measurement(final, window)
-    if absent.post_state is None:
-        return ProtocolReport(
-            success_probability=absent.probability,
-            fidelity=0.0,
-            left_weight=0.0,
-            right_weight=0.0,
-        )
-    post = absent.post_state.amplitudes
-    c_left = abs(np.vdot(g_left, post))
-    c_right = abs(np.vdot(g_right, post))
-    fidelity = 0.5 * (c_left + c_right) ** 2
-    probs = np.abs(post) ** 2
-    left_weight = float(probs[: p.center - 1].sum())
-    right_weight = float(probs[p.center:].sum())
+    fidelity = left_weight = right_weight = 0.0
+    if absent.post_state is not None:
+        post = absent.post_state.amplitudes
+        c_left = abs(np.vdot(g_left, post))
+        c_right = abs(np.vdot(g_right, post))
+        fidelity = float(0.5 * (c_left + c_right) ** 2)
+        probs = np.abs(post) ** 2
+        left_weight = float(probs[: p.center - 1].sum())
+        right_weight = float(probs[p.center:].sum())
     return ProtocolReport(
         success_probability=absent.probability,
-        fidelity=float(fidelity),
+        fidelity=fidelity,
         left_weight=left_weight,
         right_weight=right_weight,
     )

@@ -13,12 +13,13 @@ The exact ring is the circulant of the chain's own hop taps
 (``chain.ring_taps``); ``validate`` holds those taps to
 ``ring_kick_column``, the circulant's first column built here from
 Bessel functions alone, so the reference never reads the code it checks.
-The references take the plain numbers they use: a size (momentum states)
-and the Bessel argument beta.  The classical limit is the standard map
-with stochasticity K = beta * b_q, iterated on whole ensembles by
-``standard_map``.  Where K places the accelerator modes,
-alpha = K/2*pi and its stable window, is a derived parameter of the chain
-(``params.DerivedParams.in_accelerator_window``).
+``qkr_kick_matrix`` is that column's Toeplitz block on 2*size states,
+which no alias reaches.  The references take the plain numbers they use:
+a size (momentum states) and the Bessel argument beta.  The classical
+limit is the standard map with stochasticity K = beta * b_q, iterated on
+whole ensembles by ``standard_map``.  Where K places the accelerator
+modes, alpha = K/2*pi and its stable window, is a derived parameter of
+the chain (``params.DerivedParams.in_accelerator_window``).
 
 Only ``validate``, the dense references and ``rechester_d`` need
 ``scipy.special`` and ``scipy.fft``, so each function imports what it
@@ -41,27 +42,17 @@ from .params import ChainParams
 # r+s-1 within about beta of it, aliases and raises.
 QUADRATURE_PANELS = 2**14
 
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _i_power_times_bessel(orders: np.ndarray, bessel_by_abs: np.ndarray) -> np.ndarray:
-    # i^d * J_d(x) depends only on |d|: i^{-d} J_{-d} = i^d J_d.
-    a = np.abs(orders)
-    phases = np.asarray(_I_POW, dtype=np.complex128)[a % 4]
-    return phases * bessel_by_abs[a]
+_I_POW = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))
 
 
 def qkr_kick_matrix(size: int, beta: float) -> np.ndarray:
     """Rotor kick operator on ``size`` momentum states: entry (r, s) = i^{r-s} J_{r-s}(beta).
 
-    Symmetric Toeplitz; at beta = 0 it is the identity.
+    Symmetric Toeplitz, the ``ring_kick_column`` of 2*size states read at
+    r - s, which no alias reaches; at beta = 0 it is the identity.
     """
-    from scipy.special import jv
-
-    js = jv(np.arange(size), beta)
     idx = np.arange(size)
-    d = idx[:, None] - idx[None, :]
-    return _i_power_times_bessel(d, js)
+    return ring_kick_column(2 * size, beta)[idx[:, None] - idx[None, :]]
 
 
 def ring_kick_column(size: int, beta: float) -> np.ndarray:
@@ -73,9 +64,9 @@ def ring_kick_column(size: int, beta: float) -> np.ndarray:
     """
     from scipy.special import jv
 
-    n = size
-    js = jv(np.arange(n // 2 + 1), beta)
-    return _i_power_times_bessel((np.arange(n) + n // 2) % n - n // 2, js)
+    # i^d * J_d(beta) depends only on |d|: i^{-d} J_{-d} = i^d J_d.
+    a = np.abs((np.arange(size) + size // 2) % size - size // 2)
+    return _I_POW[a % 4] * jv(np.arange(size // 2 + 1), beta)[a]
 
 
 def frs_quadrature(

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kickedchain
 from kickedchain import SpinState
 
 
@@ -16,3 +20,11 @@ def make_random_state(rng):
         return SpinState(amps / np.linalg.norm(amps))
 
     return _make
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    a child interpreter imports the package under test."""
+    src = str(Path(kickedchain.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,9 +1,7 @@
-import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ import scipy.linalg
 from scipy.fft import next_fast_len
 from scipy.special import jv
 
+from conftest import src_env
 from kickedchain import (
     CapacityError,
     ChainParams,
@@ -819,10 +818,8 @@ def test_next_fast_len_on_the_requested_lengths(n_sites, beta):
 def _run_python(code):
     """stdout of ``code`` run by a fresh interpreter that imports this
     checkout's package."""
-    src = str(Path(kickedchain.chain.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

@@ -19,7 +19,7 @@ from kickedchain.chain import ring_taps
 from kickedchain.errors import QuadratureConvergenceError, WeakChaosWarning
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 
 class TestBessel:
@@ -51,6 +51,30 @@ class TestBessel:
         assert -m[2, 0].real == pytest.approx(0.046565116277752, abs=1e-12)
         j2 = 0.046565116277752
         assert rechester_d(5.0) == pytest.approx(12.5 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2), rel=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 300), beta=st.floats(0.0, 1e3))
+    @example(size=64, beta=0.0)
+    @example(size=64, beta=5.0)  # the K_s = 5 point, at J_2's node
+    def test_kernels_are_phased_jv_bit_for_bit(self, size, beta):
+        # Every entry is i^|d| J_|d|(beta), phase from a complex128 table,
+        # to the bit: d = r - s in the matrix, the wrapped order in the
+        # ring column.
+        phases = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+
+        def want(d):
+            a = np.abs(d)
+            return phases[a % 4] * scipy.special.jv(a, beta)
+
+        def same_bits(got, expected):
+            return got.dtype == expected.dtype and np.array_equal(
+                got.view(np.uint64), expected.view(np.uint64))
+
+        idx = np.arange(size)
+        assert same_bits(qkr_kick_matrix(size, beta), want(idx[:, None] - idx[None, :]))
+        assert same_bits(ring_kick_column(size, beta),
+                         want(np.where(idx < size - size // 2, idx, idx - size)))
 
 
 class TestRechester:

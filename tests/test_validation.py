@@ -1,10 +1,9 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
+from conftest import src_env
 import kickedchain.chain
 from kickedchain import observables
 from kickedchain.state import SpinState
@@ -118,9 +117,7 @@ def test_scipy_linalg_stays_off_the_import_path(tmp_path):
     # scipy.special and scipy.linalg.  Importing the package, and running
     # fig1 through ``python -m kickedchain``, must load none of them; the
     # suite must still pass.
-    src = str(Path(kickedchain.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = src_env()
     code = (
         "import sys, kickedchain\n"
         f"loaded = [m for m in {LAZY_SCIPY!r} if m in sys.modules]\n"
