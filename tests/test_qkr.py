@@ -52,7 +52,6 @@ class TestBessel:
         j2 = 0.046565116277752
         assert rechester_d(5.0) == pytest.approx(12.5 * (1.0 - 2.0 * j2 + 2.0 * j2 * j2), rel=1e-12)
 
-
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(1, 300), beta=st.floats(0.0, 1e3))
     @example(size=64, beta=0.0)
