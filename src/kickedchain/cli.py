@@ -58,9 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = ""
         if args.config is not None:
-            # ValueError: the file is not UTF-8, or the path holds a NUL.
+            # ValueError: the file is not UTF-8, or the path holds a NUL; a BOM is dropped.
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(args.config, encoding="utf-8-sig") as fh:
                     text = fh.read()
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc

@@ -10,11 +10,12 @@ table has one layout per format: the text before its rows, a row of
 locale-independent printf codes, one per column, the text between rows
 and the text after them; a JSON table's text is the one ``json`` writes.
 Other JSON payloads are built from the dataclasses that own their fields
-and written with sorted keys.  The write encodes, hashes and writes each
-file's text chunk by chunk, atomically (temp file then rename).  The
-distribution table, a (period, site) grid, is streamed to it one snapshot
-per chunk from a site template built once, so it is never held whole; a
-snapshot that equals its reverse bit for bit formats each value once.
+and written with sorted keys, every non-finite float as null.  The write
+encodes, hashes and writes each file's text chunk by chunk, atomically
+(temp file then rename).  The distribution table, a (period, site) grid,
+is streamed to it one snapshot per chunk from a site template built once,
+so it is never held whole; a snapshot that equals its reverse bit for
+bit formats each value once.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, observables
 from .chain import evolve, make_context
 from .config import ExperimentConfig, config_values
 from .errors import ConfigError, NotLocalizedError, PacketsOutOfRangeError
 from .observables import (
-    MODE_DECAY_FIRST_PULSE,
-    MODE_DECAY_MIN_PULSES,
     ModeReport,
     detect_accelerator_modes,
     fit_localization_length,
@@ -47,7 +46,7 @@ from .observables import (
     spread_variance,
     trackable_pulses,
 )
-from .params import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, ChainParams, derived_params
+from .params import ACCEL_ALPHA_MAX, ACCEL_ALPHA_MIN, derived_params
 from .protocol import run_protocol
 from .qkr import rechester_d
 from .state import site_state
@@ -133,7 +132,19 @@ def _grid(
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``payload`` as sorted JSON text, each non-finite float at any depth
+    of dicts, lists and tuples as null: strict JSON has no NaN or Infinity."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def _trajectory(cfg: ExperimentConfig):
@@ -214,15 +225,16 @@ def _run_entanglement(cfg: ExperimentConfig) -> dict:
 
 def _run_accel(cfg: ExperimentConfig) -> dict:
     last = trackable_pulses(cfg.chain)
-    n, every, first = cfg.n_periods, cfg.record_every, MODE_DECAY_FIRST_PULSE
+    n, every = cfg.n_periods, cfg.record_every
+    first, need = observables.MODE_DECAY_FIRST_PULSE, observables.MODE_DECAY_MIN_PULSES
     # Pulses past the last trackable recorded one are never read: stop there.
     stop = n if n <= last else last - last % every
     # Evolving to stop records the multiples of record_every below it, then
     # stop itself; a lazy range counts those from first on, so n may be huge.
     n_fit = len(range(-(-first // every) * every, stop, every)) + (first <= stop)
-    if n_fit < MODE_DECAY_MIN_PULSES:
+    if n_fit < need:
         raise ConfigError(
-            f"accel needs at least {MODE_DECAY_MIN_PULSES} recorded pulses in [{first}, "
+            f"accel needs at least {need} recorded pulses in [{first}, "
             f"{last}] (chain geometry cap); got {n_fit} "
             "from keys 'n_periods'/'record_every'/'n_sites'"
         )
@@ -298,15 +310,6 @@ def _atomic_write(path: str, chunks: str | Iterable[str]) -> str:
     return sha.hexdigest()
 
 
-def _derived_dict(p: ChainParams) -> dict:
-    # Non-finite values (hop distance at b_q = 0) have no strict-JSON
-    # representation and are stored as null.
-    return {
-        key: (value if math.isfinite(value) else None)
-        for key, value in asdict(derived_params(p)).items()
-    }
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Run ``cfg.experiment``, write its artifacts, and return the manifest.
 
@@ -317,6 +320,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     outputs = _RUNNERS[cfg.experiment](cfg)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # Written last, a manifest is left only if every digest in it holds.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(cfg.output_dir, "manifest.json"))
     digests = {
         filename: _atomic_write(os.path.join(cfg.output_dir, filename), outputs[filename])
         for filename in sorted(outputs)
@@ -326,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         experiment=cfg.experiment,
         version=__version__,
         config=config_values(cfg),
-        derived=_derived_dict(cfg.chain),
+        derived=asdict(derived_params(cfg.chain)),
         wall_clock_seconds=time.monotonic() - started,
         output_dir=cfg.output_dir,
         files=digests,

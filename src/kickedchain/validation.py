@@ -55,15 +55,9 @@ class ValidationReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
     def as_dict(self) -> dict:
-        # A raising check's inf deviation has no strict-JSON form: null, as
-        # in the manifest's derived block.
         return {
             "passed": self.passed,
-            "checks": [
-                {**asdict(c), "passed": c.passed,
-                 "deviation": c.deviation if math.isfinite(c.deviation) else None}
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
         }
 
 

@@ -176,6 +176,21 @@ def test_set_completes_a_config_file(tmp_path, capsys):
     assert (manifest["config"]["n_sites"], manifest["config"]["center"]) == (101, 51)
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # A BOM, as some editors save UTF-8, is not part of the first key.
+    text = "n_sites = 21\ncenter = 11\nn_periods = 1\n"
+    configs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.cfg").write_bytes(data)
+        code = main(["evolve", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)])
+        assert code == 0, capsys.readouterr().err
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        configs.append({**manifest["config"], "output_dir": None})
+        assert manifest["config"]["n_sites"] == 21
+    assert configs[0] == configs[1]
+
+
 def test_accel_outside_the_window_is_a_config_error(tmp_path, capsys):
     # alpha = 100 * 0.05 / (2*pi) = 0.80: refused before evolving.
     code = main([

@@ -111,7 +111,7 @@ class TestManifest:
 
     def test_derived_matches_recomputation(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", *SMALL)
-        run_experiment(cfg)
+        returned = run_experiment(cfg)
         manifest = json.loads((tmp_path / "evolve" / "manifest.json").read_text())
         echo = manifest["config"]
         chain = ChainParams(
@@ -128,6 +128,8 @@ class TestManifest:
         assert d.alpha < 1.0
         for key in ("k_star", "monodromy_trace", "rotation"):
             assert manifest["derived"][key] is None
+            # Only the file spells it null; the returned manifest holds NaN.
+            assert math.isnan(returned.derived[key])
 
     def test_derived_reports_the_accelerator_mode(self, tmp_path):
         cfg = cfg_for(tmp_path, "evolve", "n_periods=0")
@@ -203,6 +205,28 @@ class TestManifest:
         assert (tmp_path / "a" / "distribution.csv").read_bytes() == (
             tmp_path / "b" / "distribution.csv"
         ).read_bytes()
+
+    def test_an_interrupted_rerun_leaves_no_stale_manifest(self, tmp_path):
+        # The rerun writes a new distribution.csv, then is interrupted while
+        # writing modes.json: any manifest left must describe the files.
+        run_experiment(cfg_for(tmp_path, "fig1", "n_periods=6"))
+        write = experiments._atomic_write
+
+        def interrupted(path, chunks):
+            if path.endswith("modes.json"):
+                raise KeyboardInterrupt
+            return write(path, chunks)
+
+        with mock.patch.object(experiments, "_atomic_write", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg_for(tmp_path, "fig1", "n_periods=3"))
+        run = tmp_path / "fig1"
+        # The rerun's first write landed: the table ends at period 3.
+        assert (run / "distribution.csv").read_text().splitlines()[-1].startswith("3,")
+        if (run / "manifest.json").exists():
+            files = json.loads((run / "manifest.json").read_text())["files"]
+            for name, digest in files.items():
+                assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
 
     def test_outputs_depend_on_parameters(self, tmp_path):
         cfg_a = cfg_for(tmp_path, "evolve", *SMALL, f"output_dir={tmp_path / 'a'}")
@@ -293,7 +317,7 @@ def test_site_grid_renders_the_row_bytes(
     if "signed_zero" in kinds[: len(periods)] and n_sites > 1:
         # The mirrored -0.0 keeps its sign, as row-by-row rendering does.
         assert ",-0\n" in text
-    json_text = _json_text({"columns": list(header), "rows": rows})
+    json_text = json.dumps({"columns": list(header), "rows": rows}, sort_keys=True, indent=2) + "\n"
     assert "".join(_grid(header, n_sites, zip(periods, values), "json")) == json_text
     assert _table(header, rows, "json") == json_text
 
@@ -330,7 +354,69 @@ def test_table_renders_each_format_row_by_row(header, values):
     line = ",".join(["%d", *["%.12g"] * n])
     expected = "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     assert _table(header, rows, "csv") == expected
-    assert _table(header, rows, "json") == _json_text({"columns": list(header), "rows": rows})
+    assert _table(header, rows, "json") == json.dumps(
+        {"columns": list(header), "rows": rows}, sort_keys=True, indent=2) + "\n"
+
+
+# Floats at the edges of repr's forms: signed zeros, the subnormal range's
+# ends, the largest float and the ulp neighbours of 1, 1e-4 and 1e16.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, math.nextafter(2.2250738585072014e-308, 0.0),
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), math.nextafter(1e-4, 0.0),
+    1e-4, math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e16, 1e17),
+)
+JSON_PAYLOADS = st.recursive(
+    st.floats() | st.sampled_from((math.nan, -math.nan, math.inf, -math.inf, *EDGE_FLOATS)),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=3), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in strict JSON")
+
+
+def _nulled_like(got, payload):
+    # Walk the parsed text next to the payload: each finite float comes back
+    # bit for bit, each non-finite one as None.
+    if isinstance(payload, float):
+        if math.isfinite(payload):
+            assert isinstance(got, float) and got.hex() == payload.hex()
+        else:
+            assert got is None
+    elif isinstance(payload, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(payload)
+        for key, item in payload.items():
+            _nulled_like(got[key], item)
+    else:
+        assert isinstance(got, list) and len(got) == len(payload)
+        for got_item, item in zip(got, payload):
+            _nulled_like(got_item, item)
+
+
+def _finite(payload):
+    if isinstance(payload, float):
+        return payload if math.isfinite(payload) else 0.5
+    if isinstance(payload, dict):
+        return {key: _finite(item) for key, item in payload.items()}
+    return type(payload)(_finite(item) for item in payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=JSON_PAYLOADS)
+@example({"b": [math.nan, (math.inf, {"a": -math.inf})], "a": -0.0})
+@example((5e-324, [[[-math.nan]]], {}))
+def test_json_text_writes_every_non_finite_float_as_null(payload):
+    text = _json_text(payload)
+    _nulled_like(json.loads(text, parse_constant=_refuse_constant), payload)
+    # With every value finite, the text is json.dumps's, byte for byte.
+    finite = _finite(payload)
+    assert _json_text(finite) == json.dumps(finite, sort_keys=True, indent=2) + "\n"
 
 
 class TestDiffusion:
@@ -451,8 +537,7 @@ def test_accel_reads_the_recorded_pulses_it_can_track(first, n_periods, every):
     last = trackable_pulses(cfg.chain)
     recorded = evolve(site_state(3, 2), TINY_CTX, n_periods, record_every=every).periods
     read = [j for j in recorded if first <= j <= last]
-    with mock.patch.object(experiments, "MODE_DECAY_FIRST_PULSE", first), \
-            mock.patch.object(observables, "MODE_DECAY_FIRST_PULSE", first):
+    with mock.patch.object(observables, "MODE_DECAY_FIRST_PULSE", first):
         if len(read) < observables.MODE_DECAY_MIN_PULSES:
             with pytest.raises(ConfigError, match=rf"in \[{first}, {last}\] .*; got {len(read)} "):
                 experiments._run_accel(cfg)

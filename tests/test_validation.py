@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -56,6 +57,12 @@ class TestSuite:
         for check in payload["checks"]:
             assert list(check) == ["name", "deviation", "tolerance", "passed"]
             assert isinstance(check["deviation"], float)
+
+    def test_report_dict_keeps_a_raising_checks_inf(self):
+        # validation.json spells it null; the dict holds the float.
+        report = ValidationReport(checks=(CheckResult("broken", math.inf, 1e-9),))
+        assert report.as_dict() == {"passed": False, "checks": [
+            {"name": "broken", "deviation": math.inf, "tolerance": 1e-9, "passed": False}]}
 
     def test_q_ipr_draw_matches_sequential_draws(self):
         # The one batched draw is the stream of two normal(size=64) calls
