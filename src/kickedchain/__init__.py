@@ -36,7 +36,6 @@ from .errors import (
     MemoryBudgetError,
     NotLocalizedError,
     PacketsOutOfRangeError,
-    QuadratureConvergenceError,
 )
 from .experiments import RunManifest, run_experiment
 from .observables import (

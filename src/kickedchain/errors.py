@@ -50,10 +50,6 @@ class PacketsOutOfRangeError(KickedChainError):
     narrow between sites to normalize."""
 
 
-class QuadratureConvergenceError(KickedChainError):
-    """Numerical quadrature failed its self-consistency (refinement) check."""
-
-
 class WeakChaosWarning(UserWarning):
     """Kick strength is below the regime where the diffusion estimate is reliable."""
 

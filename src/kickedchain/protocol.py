@@ -20,7 +20,8 @@ import numpy as np
 
 from .chain import evolve, make_context
 from .errors import EmptyBranchWarning, PacketsOutOfRangeError
-from .observables import detect_accelerator_modes, packet_centers, pair_clearance
+from .observables import (detect_accelerator_modes, packet_centers, pair_clearance,
+                          trackable_pulses)
 from .params import ChainParams
 from .state import SpinState, site_state
 
@@ -116,10 +117,13 @@ def run_protocol(p: ChainParams, n_pulses: int) -> ProtocolReport:
 
         F = (|<g_left|post>| + |<g_right|post>|)^2 / 2,
 
-    valid because the two Gaussians have negligible overlap.  A pair that
+    valid because the two Gaussians have negligible overlap.  A pulse past
+    ``trackable_pulses`` (packets in boundary pile-up) or a pair that
     cannot be normalized raises PacketsOutOfRangeError before evolving.
     """
     s_left, s_right = packet_centers(p, n_pulses)
+    if n_pulses > (last := trackable_pulses(p)):
+        raise PacketsOutOfRangeError(f"pulse {n_pulses} is past the last trackable pulse, {last}")
     g_left, g_right = _packet(p, s_left), _packet(p, s_right)
     traj = evolve(site_state(p.n_sites, p.center), make_context(p), n_pulses,
                   record_every=n_pulses)

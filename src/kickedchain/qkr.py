@@ -22,8 +22,8 @@ modes, alpha = K/2*pi and its stable window, is a derived parameter of
 the chain (``params.DerivedParams.in_accelerator_window``).
 
 Only ``validate``, the dense references and ``rechester_d`` need
-``scipy.special`` and ``scipy.fft``, so each function imports what it
-uses on first call and ``import kickedchain`` loads neither.
+``scipy.special``, so each function imports it on first call and
+``import kickedchain`` does not load it.
 """
 
 from __future__ import annotations
@@ -33,14 +33,8 @@ import warnings
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError, WeakChaosWarning
+from .errors import WeakChaosWarning
 from .params import ChainParams
-
-# Trapezoid intervals of frs_quadrature, which takes one DCT-I of the
-# integrand's m+1 nodes per resolution.  Its refinement check reruns at
-# half the intervals, where a beta near or above this count, or an order
-# r+s-1 within about beta of it, aliases and raises.
-QUADRATURE_PANELS = 2**14
 
 _I_POW = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))
 
@@ -62,11 +56,17 @@ def ring_kick_column(size: int, beta: float) -> np.ndarray:
     Orders wrap to the nearest representative in [-N/2, N/2); aliased
     orders beyond that are negligible for beta well below N.
     """
+    # i^d * J_d(beta) depends only on |d|: i^{-d} J_{-d} = i^d J_d.
+    return _kick_kernel(np.abs((np.arange(size) + size // 2) % size - size // 2), beta)
+
+
+def _kick_kernel(order: np.ndarray, beta: float) -> np.ndarray:
+    """i^n J_n(beta) at each nonnegative integer ``order``, calling ``jv``
+    once per distinct order, so its cost follows the orders asked for."""
     from scipy.special import jv
 
-    # i^d * J_d(beta) depends only on |d|: i^{-d} J_{-d} = i^d J_d.
-    a = np.abs((np.arange(size) + size // 2) % size - size // 2)
-    return _I_POW[a % 4] * jv(np.arange(size // 2 + 1), beta)[a]
+    distinct, where = np.unique(order, return_inverse=True)
+    return _I_POW[order % 4] * jv(distinct, beta)[where.reshape(order.shape)]
 
 
 def frs_quadrature(
@@ -74,43 +74,22 @@ def frs_quadrature(
 ) -> complex | np.ndarray:
     """Continuum (large-N) hopping matrix element between sites r and s.
 
-    Evaluates (1/pi) * e^{-i beta} * int_0^pi [cos((r+s-1)x) + cos((r-s)x)]
-    e^{i beta cos x} dx by the trapezoid rule, normalized so the matrix is
-    the identity at beta = 0.  Broadcasts over integer arrays ``r`` and
-    ``s``: scalars give a complex, arrays an ndarray.  Raises
-    QuadratureConvergenceError if halving the resolution shifts any entry
-    by more than 1e-9.
+    The open-end integral (1/pi) * e^{-i beta} * int_0^pi [cos((r+s-1)x) +
+    cos((r-s)x)] e^{i beta cos x} dx in its Jacobi-Anger closed form,
+    e^{-i beta} (i^{r+s-1} J_{r+s-1}(beta) + i^{|r-s|} J_{|r-s|}(beta)): the
+    near end's image plus the direct term, the identity at beta = 0.
+    Broadcasts over integer arrays ``r`` and ``s``: scalars give a
+    complex, arrays an ndarray.
     """
-    from scipy.fft import dct
-
     r, s = np.broadcast_arrays(np.asarray(r), np.asarray(s))
     if not (np.issubdtype(r.dtype, np.integer) and np.issubdtype(s.dtype, np.integer)):
         raise ValueError("site indices must be integers")
     if np.any((r < 1) | (r > p.n_sites) | (s < 1) | (s > p.n_sites)):
         raise ValueError(f"site indices must lie in [1, {p.n_sites}]")
-
-    def integrate(m: int) -> np.ndarray:
-        # DCT-I of e^{i beta cos x} on the m+1 trapezoid nodes, over 2m,
-        # is the trapezoid sum of cos(n x) e^{i beta cos x} for n <= m.
-        # On these nodes cos(n x) has period 2m in n and is even about
-        # n = m, so every order folds exactly into that table.
-        table = dct(np.exp(1j * p.beta * np.cos(np.linspace(0.0, np.pi, m + 1))), type=1) / (2 * m)
-
-        def term(order: np.ndarray) -> np.ndarray:
-            n = order % (2 * m)
-            return table[np.where(n > m, 2 * m - n, n)]
-
-        return term(r + s - 1) + term(np.abs(r - s))
-
-    fine = integrate(QUADRATURE_PANELS)
-    coarse = integrate(QUADRATURE_PANELS // 2)
-    shift = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if shift > 1e-9:
-        raise QuadratureConvergenceError(
-            f"quadrature not converged at {QUADRATURE_PANELS} intervals "
-            f"(refinement shift {shift:.3e})"
-        )
-    out = complex(np.exp(-1j * p.beta)) * fine
+    # Signed, so r - s cannot wrap for unsigned input.
+    r, s = r.astype(np.int64), s.astype(np.int64)
+    direct, image = _kick_kernel(np.stack((np.abs(r - s), r + s - 1)), p.beta)
+    out = complex(np.exp(-1j * p.beta)) * (image + direct)
     return complex(out) if out.ndim == 0 else out
 
 

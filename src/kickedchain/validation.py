@@ -2,7 +2,7 @@
 
 Each check pits a production code path against a slower or
 independently derived alternative (dense diagonalization, matrix
-exponential, direct quadrature, closed-form limits) and records the
+exponential, Bessel closed forms and limits) and records the
 measured deviation next to its tolerance.  The tolerances are frozen;
 a failure here means a real regression, not noise.
 """

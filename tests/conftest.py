@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kickedchain
+import kickedchain.chain
 from kickedchain import SpinState
 
 
@@ -20,6 +21,20 @@ def make_random_state(rng):
         return SpinState(amps / np.linalg.norm(amps))
 
     return _make
+
+
+@pytest.fixture
+def edges(monkeypatch):
+    """The centre-edge flag of every padded layout ``evolve`` hops in: all
+    True on the mirror-half path, all False on the full chain."""
+    real, seen = kickedchain.chain._padded, []
+
+    def spy(amps, pad, size, centre):
+        seen.append(centre)
+        return real(amps, pad, size, centre)
+
+    monkeypatch.setattr("kickedchain.chain._padded", spy)
+    return seen
 
 
 def src_env() -> dict[str, str]:

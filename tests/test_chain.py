@@ -24,7 +24,6 @@ from kickedchain import (
     step_period_inverse,
     uhc_matrix,
 )
-import kickedchain.chain
 from kickedchain.chain import (
     _band_taps,
     _cosine_modes,
@@ -568,18 +567,6 @@ class TestMirrorHalf:
     """A start equal to its reverse, kicked about the middle site of an
     odd chain with the band inside the half, hops sites center..N only;
     every other start keeps the full chain."""
-
-    @pytest.fixture
-    def edges(self, monkeypatch):
-        # The centre-edge flag of every padded layout evolve hops in.
-        real, seen = kickedchain.chain._padded, []
-
-        def spy(amps, pad, size, centre):
-            seen.append(centre)
-            return real(amps, pad, size, centre)
-
-        monkeypatch.setattr("kickedchain.chain._padded", spy)
-        return seen
 
     @pytest.mark.parametrize("case", sorted(DISPATCH))
     def test_other_starts_run_the_full_chain_loop(self, case, edges):

@@ -45,6 +45,18 @@ def test_protocol_preconditions_are_config_errors(override, needle, tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
+def test_protocol_past_the_trackable_pulses_is_a_config_error(tmp_path, capsys):
+    # Pulse 7 fits packet_centers on this chain, but trackable_pulses is 6.
+    code = main(["protocol", "--set", "n_sites=1363", "--set", "center=682",
+                 "--set", "n_periods=7", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert _one_line_error(capsys) == (
+        "config error: protocol at n_periods=7, b_q=0.06666666666666667: "
+        "pulse 7 is past the last trackable pulse, 6\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_protocol_packet_below_the_float_range_is_a_config_error(tmp_path, capsys):
     # b_q = 4*pi*238: at pulse 238 both packet centres fall half-way between
     # sites, and the reference Gaussians underflow on every site.

@@ -11,6 +11,7 @@ from kickedchain import (
     packet_centers,
     run_protocol,
     site_state,
+    trackable_pulses,
 )
 from kickedchain.errors import EmptyBranchWarning, PacketsOutOfRangeError
 from kickedchain.protocol import EMPTY_BRANCH_EPS, _packet
@@ -142,6 +143,16 @@ class TestRunProtocol:
         small = ChainParams(n_sites=201, center=101, beta=100.0, b_q=1.0 / 15.0)
         with pytest.raises(PacketsOutOfRangeError):
             run_protocol(small, 4)
+
+    def test_refuses_a_pulse_past_the_trackable_ones(self):
+        # packet_centers fits pulse 7 here, but trackable_pulses stops at 6:
+        # pulse 7's packets would be fitted on the boundary pile-up.
+        p = ChainParams(n_sites=1363, center=682, beta=100.0, b_q=1.0 / 15.0)
+        assert trackable_pulses(p) == 6
+        packet_centers(p, 7)
+        with pytest.raises(PacketsOutOfRangeError, match="past the last trackable pulse, 6"):
+            run_protocol(p, 7)
+        assert run_protocol(p, 6).success_probability > 0.0
 
     @pytest.mark.parametrize("n_pulses", [119, 238])
     def test_refuses_a_reference_packet_it_cannot_normalize(self, n_pulses):

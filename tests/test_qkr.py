@@ -15,8 +15,9 @@ from kickedchain import (
     standard_map,
     uhc_matrix,
 )
-from kickedchain.chain import ring_taps
-from kickedchain.errors import QuadratureConvergenceError, WeakChaosWarning
+from kickedchain.chain import evolve, make_context, ring_taps
+from kickedchain.errors import WeakChaosWarning
+from kickedchain.state import SpinState, site_state
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -187,15 +188,42 @@ class TestQuadrature:
             frs_quadrature(r, 1, p)
         assert str(info.value) == "site indices must be integers"
 
-    @pytest.mark.parametrize("r,s", [(1, 1), (50, 50), (3, 90)])
-    def test_coarse_aliasing_raises(self, r, s):
-        # At beta = 2e4 the kick's bandwidth exceeds both panel counts, so
-        # the halved rule disagrees; the direct per-pair trapezoid raised too.
-        p = ChainParams(n_sites=100, center=50, beta=2e4, b_q=0.1)
-        with pytest.raises(QuadratureConvergenceError):
-            frs_quadrature(r, s, p)
-        with pytest.raises(QuadratureConvergenceError):
-            _direct_quadrature(r, s, p)
+    def test_unsigned_sites_do_not_wrap(self):
+        # r - s of two unsigned arrays would wrap below zero.
+        p = ChainParams(n_sites=64, center=32, beta=10.0, b_q=0.1)
+        r, s = np.array([3, 40]), np.array([5, 33])
+        want = frs_quadrature(r, s, p)
+        assert np.array_equal(frs_quadrature(r.astype(np.uint32), s.astype(np.uint64), p), want)
+
+    @pytest.mark.parametrize(
+        "n,beta,r,s",
+        [
+            # beta = 2e4 is past 2 * 8192: a trapezoid rule on 8,192 or
+            # 16,384 intervals aliases, and the test-side one refuses.
+            (100, 2e4, 1, 1),
+            (100, 2e4, 50, 50),
+            (100, 2e4, 3, 90),
+            # r+s-1 = 16383 and 32767: those trapezoid rules fold them
+            # onto J_1, an O(1) error, at one or at both resolutions.
+            (12_000, 37.5, 8192, 8192),
+            (16_400, 37.5, 16_384, 16_384),
+        ],
+    )
+    def test_matches_mpmath_closed_form(self, n, beta, r, s):
+        # Bound, argued before any run.  For orders below x, J_n(x) is an
+        # oscillation of amplitude at most sqrt(2/(pi x)) whose phase a
+        # double-precision jv holds to a few x*u (u = 2**-53), so each
+        # term errs by under 10*x*u*sqrt(2/(pi x)): 1.3e-13 at x = 2e4,
+        # 5e-15 at 37.5.  Two terms and the unit phase e^{-i beta} add a
+        # few u: 1e-12 holds them all.
+        mpmath = pytest.importorskip("mpmath")
+        p = ChainParams(n_sites=n, center=n // 2, beta=beta, b_q=0.1)
+        with mpmath.workdps(40):
+            def term(order):
+                return (1, 1j, -1, -1j)[order % 4] * mpmath.besselj(order, beta)
+
+            want = complex(mpmath.expj(-beta) * (term(r + s - 1) + term(abs(r - s))))
+        assert abs(frs_quadrature(r, s, p) - want) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12_000), beta=st.floats(0.0, 300.0))
@@ -209,15 +237,10 @@ class TestQuadrature:
     @pytest.mark.parametrize(
         "n,r,s",
         [
-            # r+s-1 above the coarse (8192) and the fine (16384) panel
-            # counts, folding onto orders where the Bessel terms vanish.
+            # r+s-1 above the test-side trapezoid's coarse (8192) and fine
+            # (16384) panel counts, folding onto orders where the Bessel
+            # terms vanish.
             (12_000, [9000, 8300, 11_999, 4100], [100, 8300, 12_000, 4100]),
-            # r+s-1 = 16383 folds onto order 1 at the coarse resolution
-            # only: both routes refuse.
-            (12_000, [8192], [8192]),
-            # r+s-1 = 32767 folds onto order 1 at both resolutions, which
-            # agree: the aliased value is O(1) and must match.
-            (16_400, [16_384], [16_384]),
         ],
     )
     def test_matches_direct_trapezoid_on_folded_orders(self, n, r, s):
@@ -225,14 +248,16 @@ class TestQuadrature:
         _assert_matches_direct(np.array(r), np.array(s), p)
 
 
+class _TrapezoidRefused(Exception):
+    """The test-side trapezoid's two resolutions disagree."""
+
+
 def _assert_matches_direct(r: np.ndarray, s: np.ndarray, p: ChainParams) -> None:
     try:
         direct = np.array([_direct_quadrature(a, b, p) for a, b in zip(r.tolist(), s.tolist())])
-    except QuadratureConvergenceError:
+    except _TrapezoidRefused:
         # A folded order near 2 * 8192 aliases onto a large Bessel term at
-        # the coarse resolution: both routes must refuse.
-        with pytest.raises(QuadratureConvergenceError):
-            frs_quadrature(r, s, p)
+        # the coarse resolution: there is nothing to compare with.
         return
     got = frs_quadrature(r, s, p)
     assert isinstance(got, np.ndarray) and got.shape == r.shape
@@ -249,8 +274,66 @@ def _direct_quadrature(r: int, s: int, p: ChainParams) -> complex:
 
     fine, coarse = integrate(2**14), integrate(2**13)
     if abs(fine - coarse) > 1e-9:
-        raise QuadratureConvergenceError(f"refinement shift {abs(fine - coarse):.3e}")
+        raise _TrapezoidRefused(f"refinement shift {abs(fine - coarse):.3e}")
     return complex(np.exp(-1j * p.beta)) * fine
+
+
+class TestResonanceAtTheEnds:
+    """At b_q = 4*pi the kick e^{-i b_q d^2/2} is 1 at every integer d, the
+    kicked rotor's quantum resonance, so t periods of ``evolve`` are the
+    one-period hop at beta*t.  Near an open end that hop is
+    ``frs_quadrature`` at beta*t: the direct term plus that end's image."""
+
+    # beta*t = 2e4, past 2 * 8192: a trapezoid rule on 8,192 intervals
+    # aliases there (the test-side one above refuses every pair).
+    BETA, T = 2500.0, 8
+    ROWS = np.arange(1, 65)
+
+    def _setup(self, n):
+        # Returns the chain kicked at its middle, its context, the band
+        # W(x) = x + 10 x^(1/3) + 30 at x = beta*t, past which the hop's
+        # own rule puts the Bessel tail below 1e-16 (see kickedchain.chain),
+        # and the bound.  The callers pick N so that every image of the
+        # far end has an order past W.
+        p = ChainParams(n_sites=n, center=(n + 1) // 2, beta=self.BETA, b_q=4.0 * math.pi)
+        x = self.BETA * self.T
+        ctx = make_context(p)
+        # Bound, argued before any run.  Each period the float kick moves
+        # the state by at most eps = max|kick_factors - 1| in 2-norm; the
+        # hop rounds its phases beta*(1 - cos k) <= 2*beta a few times
+        # (under 8*beta*u) and runs one FFT pair (under 400*u), with
+        # u = 2**-53; jv at x errs in phase by a few x*u at amplitude
+        # sqrt(2/(pi x)), under 1e-12.  An entry errs by at most the 2-norm.
+        eps = float(np.max(np.abs(ctx.kick_factors - 1.0)))
+        bound = self.T * (eps + (8.0 * self.BETA + 400.0) * 2.0**-53) + 1e-12
+        return p, ctx, math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 30.0), bound
+
+    @pytest.mark.parametrize("start", [3, 13])
+    def test_single_start_on_the_full_path(self, start, edges):
+        n = 10_200
+        p, ctx, band, bound = self._setup(n)
+        assert 2 * n + 1 - self.ROWS[-1] - start >= band
+        want = frs_quadrature(self.ROWS, start, ChainParams(n, p.center, self.BETA * self.T, 0.0))
+        for site, picks in ((start, self.ROWS - 1), (n + 1 - start, n - self.ROWS)):
+            got = evolve(site_state(n, site), ctx, self.T).final.amplitudes[picks]
+            assert np.max(np.abs(got - want)) <= bound
+        assert edges and not any(edges)
+
+    def test_mirror_pair_on_the_half_path(self, edges):
+        # Sites s and N+1-s: a row near one end sees the other start only
+        # through orders of at least N + 1 - r - s, all past the band.
+        n, start = 20_401, 5
+        p, ctx, band, bound = self._setup(n)
+        assert n + 1 - self.ROWS[-1] - start >= band
+        amps = np.zeros(n, dtype=np.complex128)
+        amps[[start - 1, n - start]] = math.sqrt(0.5)
+        q = ChainParams(n, p.center, self.BETA * self.T, 0.0)
+        want = (frs_quadrature(self.ROWS, start, q) + frs_quadrature(self.ROWS, n + 1 - start, q))
+        want *= math.sqrt(0.5)
+        final = evolve(SpinState(amps), ctx, self.T).final.amplitudes
+        for picks in (self.ROWS - 1, n - self.ROWS):
+            assert np.max(np.abs(final[picks] - want)) <= bound
+        assert edges and all(edges)
 
 
 class TestClassicalMap:

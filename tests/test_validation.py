@@ -120,10 +120,10 @@ LAZY_SCIPY = ("scipy.fft", "scipy.special", "scipy.linalg")
 
 def test_scipy_linalg_stays_off_the_import_path(tmp_path):
     # The hop loads pocketfft's compiled module alone, and only validate's
-    # oracles, the dense references and rechester_d need scipy.fft,
-    # scipy.special and scipy.linalg.  Importing the package, and running
-    # fig1 through ``python -m kickedchain``, must load none of them; the
-    # suite must still pass.
+    # oracles, the dense references and rechester_d need scipy.special
+    # and scipy.linalg.  Importing the package, and running
+    # fig1 through ``python -m kickedchain``, must load neither of them
+    # nor scipy.fft; the suite must still pass.
     env = src_env()
     code = (
         "import sys, kickedchain\n"
@@ -144,6 +144,19 @@ def test_scipy_linalg_stays_off_the_import_path(tmp_path):
                 if line.startswith("import time:")}
     assert "kickedchain.cli" in imported
     assert not imported & set(LAZY_SCIPY)
+
+
+def test_validate_suite_never_imports_scipy_fft():
+    # The hop loads pocketfft's compiled module alone and frs_quadrature is
+    # a closed form, so the whole suite runs without scipy.fft's package.
+    code = (
+        "import sys, kickedchain\n"
+        "assert kickedchain.validate_suite().passed\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestReportTypes:
